@@ -13,9 +13,9 @@ and an **open loop** (fixed arrival rate, latency includes queueing
 delay) at each request count, recording wall-clock throughput,
 throughput-per-core and latency quantiles.  The claim under test: at
 >= 1k concurrent requests the coalescing window wins throughput-per-core
-over the per-request baseline, because each window bulk-fills the
-memoised oracle with one ``distance_many`` sweep instead of thousands
-of scalar label scans.
+over the per-request baseline, because each window resolves its
+distance requests with one ``distance_many`` sweep instead of thousands
+of scalar label scans and its queries in one target-grouped batch.
 
 Results land in ``BENCH_async_gateway.json``.  Run directly::
 

@@ -8,7 +8,7 @@ topology at reduced scale):
    ``--pairs`` random pairs; the one-off arena packing time is reported
    separately;
 2. **batch FSPQ** — a plain ``engine.query`` loop vs serial
-   ``batch_query`` (shared memoised oracle + bulk prefetch) vs
+   ``batch_query`` (target-grouped order) vs
    ``batch_query(workers=N)`` (fork pool) over a ``--queries`` workload
    whose targets are drawn from a small pool, as in kNN / navigation
    session traffic.

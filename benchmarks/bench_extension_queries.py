@@ -78,7 +78,7 @@ def test_batch_vs_sequential(benchmark, fahl_setup, brn_queries):
     engine = FlowAwareEngine(frn, oracle=index, alpha=0.5, eta_u=3.0,
                              max_candidates=8)
     base = flatten_groups(brn_queries)
-    # many sources converging on few targets: the memoised batch sweet spot
+    # many sources converging on few targets: the target-grouped sweet spot
     targets = sorted({q.target for q in base})[:2]
     queries = [
         FSPQuery(q.source, targets[i % len(targets)], q.timestep)

@@ -2,11 +2,12 @@
 
 Runs the same query workload through two ``FlowAwareEngine`` instances
 sharing one FAHL index — one with ``kernel="flat"`` (quantised label-arena
-gather, lazy-Yen spur kernel, vectorised Lemma-4 scoring) and one with
-``kernel="scalar"`` (the original per-candidate loops, kept as exactness
-reference).  Every pair of answers is compared for full ``FSPResult``
-equality, and per-query latencies are recorded with
-:class:`repro.obs.LatencyRecorder` so the JSON carries exact p50/p95/p99.
+gather, lazy-Yen spur kernel) and one with ``kernel="scalar"`` (the
+reference Yen path iterator, kept as exactness reference); both share
+one candidate collector and one vectorised scorer.  Every pair of answers
+is compared for full ``FSPResult`` equality, and per-query latencies are
+recorded with :class:`repro.obs.LatencyRecorder` so the JSON carries
+exact p50/p95/p99.
 
 The numbers land in ``BENCH_fspq_latency.json`` (repo root by default).
 ``--tiny`` shrinks the workload for CI smoke runs, and ``--check BASELINE``

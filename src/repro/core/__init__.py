@@ -1,6 +1,6 @@
 """FAHL core: index, maintenance, pruning bounds, and the FPSPS engine."""
 
-from repro.core.batch import BatchReport, MemoizedOracle, batch_query
+from repro.core.batch import BatchReport, batch_query
 from repro.core.bounds import FlowBounds, adaptive_upper_bound, lemma4_bounds
 from repro.core.constrained import (
     ConstrainedFlowAwareEngine,
@@ -42,7 +42,6 @@ __all__ = [
     "FlowAwareEngine",
     "DeparturePlan",
     "FlowBounds",
-    "MemoizedOracle",
     "KNNMatch",
     "NavigationLog",
     "NavigationSession",

@@ -1,26 +1,21 @@
-"""Batch FSPQ evaluation: cross-query caching, bulk prefetch, process pool.
+"""Batch FSPQ evaluation: target-grouped order and a process pool.
 
 Interactive engines answer one query at a time; offline consumers (the
 experiment harness, kNN reranking, fleet re-planning) throw hundreds of
-queries at the same index.  Three levers make batches faster without
+queries at the same index.  Two levers make batches faster without
 touching results:
 
-* :class:`MemoizedOracle` — wraps any distance oracle with a symmetric
-  pair cache.  Candidate generation probes ``distance(v, target)`` for
-  many ``v`` per query; queries sharing a target (kNN! navigation
-  sessions!) hit the cache across calls.  When the underlying oracle
-  supports ``distance_many`` (the label-arena fast path), the cache can
-  be bulk-filled with one vectorised call via :meth:`~MemoizedOracle.prefetch`.
-* :func:`batch_query` — evaluates a list of queries grouped by target so
-  the memoisation (and the engine's per-slice flow cache) is maximally
-  effective, bulk-prefetching each target's distances, then restores the
-  caller's original order.
+* :func:`batch_query` — evaluates a list of queries grouped by
+  ``(target, timestep)``, so queries sharing a target reuse the flat
+  kernel's per-target heuristic table and the engine's per-slice flow
+  cache, then restores the caller's original order.  Every query goes
+  through the engine's own :meth:`~repro.core.fpsps.FlowAwareEngine.query`,
+  so a hierarchy oracle keeps the flat kernel.
 * ``batch_query(..., workers=N)`` — fans contiguous chunks of the
   target-grouped order out to a ``fork`` multiprocessing pool.  The built
   index is shared with the workers copy-on-write (nothing is pickled on
   the way in), results come back in input order, and the values are
-  bit-identical to the serial path — memoisation and parallelism are both
-  transparent.
+  bit-identical to the serial path.
 
 The pool path is *hardened*: every degradation is observable (pass a
 :class:`BatchReport` to collect the structured reason, or watch the
@@ -36,11 +31,8 @@ import math
 import multiprocessing
 import os
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
-
-import numpy as np
 
 from repro import obs
 from repro.obs import context as obs_context
@@ -48,118 +40,9 @@ from repro.core.fpsps import FlowAwareEngine
 from repro.core.fspq import FSPQuery, FSPResult
 from repro.errors import QueryError, ReproError
 
-__all__ = ["BatchReport", "MemoizedOracle", "batch_query", "set_worker_fault_hook"]
+__all__ = ["BatchReport", "batch_query", "set_worker_fault_hook"]
 
 logger = logging.getLogger("repro.batch")
-
-#: whole-vertex-set prefetch per distinct batch target is capped here —
-#: beyond it the speculative pairs would outweigh the vectorisation win.
-_PREFETCH_MAX_VERTICES = 100_000
-
-
-class MemoizedOracle:
-    """A symmetric ``distance`` cache around any oracle.
-
-    The cache is only valid while the underlying graph/index is unchanged;
-    call :meth:`invalidate` after any maintenance operation.
-    """
-
-    def __init__(self, oracle) -> None:
-        if oracle is None or not callable(getattr(oracle, "distance", None)):
-            raise QueryError("MemoizedOracle needs an oracle with .distance")
-        self._oracle = oracle
-        self._cache: dict[tuple[int, int], float] = {}
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def wrapped(self):
-        """The oracle being memoised.
-
-        The engine's flat-kernel probe unwraps through this so the
-        batch path's per-call wrapper swap never demotes flat-kernel
-        queries to the scalar reference.
-        """
-        return self._oracle
-
-    def distance(self, u: int, v: int) -> float:
-        key = (u, v) if u <= v else (v, u)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        value = self._oracle.distance(u, v)
-        self._cache[key] = value
-        return value
-
-    def distance_many(self, sources, targets) -> np.ndarray:
-        """Vectorised ``distance`` over aligned arrays, filling the cache.
-
-        Cached pairs are served from the cache; the rest go to the
-        underlying oracle's ``distance_many`` in one call when it has one
-        (a scalar loop otherwise), and land in the cache on the way out.
-        """
-        us = np.asarray(sources, dtype=np.int64)
-        vs = np.asarray(targets, dtype=np.int64)
-        if us.shape != vs.shape or us.ndim != 1:
-            raise QueryError(
-                "distance_many needs 1-D source/target arrays of equal length"
-            )
-        out = np.empty(us.shape, dtype=np.float64)
-        cache = self._cache
-        missing: list[int] = []
-        for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
-            key = (u, v) if u <= v else (v, u)
-            cached = cache.get(key)
-            if cached is None:
-                missing.append(i)
-            else:
-                self.hits += 1
-                out[i] = cached
-        if missing:
-            self.misses += len(missing)
-            idx = np.asarray(missing, dtype=np.int64)
-            inner = getattr(self._oracle, "distance_many", None)
-            if callable(inner):
-                values = np.asarray(inner(us[idx], vs[idx]), dtype=np.float64)
-            else:
-                values = np.asarray(
-                    [
-                        self._oracle.distance(int(us[i]), int(vs[i]))
-                        for i in missing
-                    ],
-                    dtype=np.float64,
-                )
-            out[idx] = values
-            for i, value in zip(missing, values.tolist()):
-                u, v = int(us[i]), int(vs[i])
-                cache[(u, v) if u <= v else (v, u)] = value
-        return out
-
-    def prefetch(self, vertices, target) -> int:
-        """Bulk-fill the cache with ``distance(v, target)`` for each ``v``.
-
-        One vectorised call when the underlying oracle supports
-        ``distance_many``.  Returns the number of newly cached pairs.
-        """
-        verts = np.asarray(vertices, dtype=np.int64)
-        before = len(self._cache)
-        self.distance_many(verts, np.full(verts.shape, int(target), dtype=np.int64))
-        return len(self._cache) - before
-
-    def path(self, u: int, v: int) -> list[int]:
-        """Paths are delegated uncached (rarely repeated verbatim)."""
-        if not callable(getattr(self._oracle, "path", None)):
-            raise QueryError("underlying oracle has no .path")
-        return self._oracle.path(u, v)
-
-    def invalidate(self) -> None:
-        """Drop the cache (after index/graph maintenance)."""
-        self._cache.clear()
-
-    def __len__(self) -> int:
-        return len(self._cache)
 
 
 # ----------------------------------------------------------------------
@@ -169,40 +52,8 @@ def _evaluate_chunk(
     engine: FlowAwareEngine,
     indexed: list[tuple[int, FSPQuery]],
 ) -> list[tuple[int, FSPResult]]:
-    """Evaluate ``(position, query)`` pairs in order, prefetching per target.
-
-    ``indexed`` is expected in target-grouped order; when a target is
-    shared by several queries of the chunk and the memoised oracle can
-    reach a vectorised ``distance_many``, the whole vertex set's distances
-    to that target are prefetched in one call — candidate generation and
-    scoring for the group then run entirely off the cache.  Targets seen
-    once skip the speculative fill (it would cost about what it saves),
-    and a flat-kernel engine skips it entirely: the kernel reads the
-    label arena directly, so a prefetched cache would never be consulted.
-    """
-    oracle = engine.oracle
-    all_vertices: np.ndarray | None = None
-    if (
-        isinstance(oracle, MemoizedOracle)
-        and callable(getattr(oracle._oracle, "distance_many", None))
-        and engine._flat_kernel() is None
-    ):
-        n = engine.frn.num_vertices
-        if n <= _PREFETCH_MAX_VERTICES:
-            all_vertices = np.arange(n, dtype=np.int64)
-    multiplicity = Counter(query.target for _, query in indexed)
-    out: list[tuple[int, FSPResult]] = []
-    last_target: int | None = None
-    for position, query in indexed:
-        if (
-            all_vertices is not None
-            and query.target != last_target
-            and multiplicity[query.target] > 1
-        ):
-            oracle.prefetch(all_vertices, query.target)
-            last_target = query.target
-        out.append((position, engine.query(query)))
-    return out
+    """Evaluate ``(position, query)`` pairs in order."""
+    return [(position, engine.query(query)) for position, query in indexed]
 
 
 # ----------------------------------------------------------------------
@@ -314,11 +165,8 @@ def _fork_context():
 
 
 def _init_worker(engine: FlowAwareEngine) -> None:
-    # runs in the forked child: `engine` is the child's copy-on-write copy,
-    # so wrapping its oracle never touches the parent's engine.
+    # runs in the forked child: `engine` is the child's copy-on-write copy
     global _WORKER_ENGINE
-    if engine.oracle is not None and not isinstance(engine.oracle, MemoizedOracle):
-        engine.oracle = MemoizedOracle(engine.oracle)
     _WORKER_ENGINE = engine
     # the child inherited the parent's tracer object (and possibly its
     # file-sink descriptor) copy-on-write; writing to it would interleave
@@ -361,22 +209,6 @@ def _run_worker_chunk(
     return pairs, collector.events
 
 
-def _evaluate_serial(
-    engine: FlowAwareEngine,
-    indexed: list[tuple[int, FSPQuery]],
-) -> list[tuple[int, FSPResult]]:
-    """Evaluate a chunk in-process with the oracle memoised for the call."""
-    original_oracle = engine.oracle
-    if original_oracle is not None and not isinstance(
-        original_oracle, MemoizedOracle
-    ):
-        engine.oracle = MemoizedOracle(original_oracle)
-    try:
-        return _evaluate_chunk(engine, indexed)
-    finally:
-        engine.oracle = original_oracle
-
-
 def _run_parallel(
     engine: FlowAwareEngine,
     indexed: list[tuple[int, FSPQuery]],
@@ -387,13 +219,13 @@ def _run_parallel(
     """Evaluate via a fork pool; ``None`` means "use the serial path".
 
     Chunks are contiguous slices of the target-grouped order (so each
-    worker's cache still sees its targets grouped), a few per worker for
-    load balance.  The parent waits at most ``chunk_timeout`` seconds per
-    chunk: a chunk whose worker died, hung, or raised anything other than a
-    library error is re-executed serially in the parent, so a crashed child
-    degrades one chunk's latency instead of losing the batch.  Library
-    errors (:class:`~repro.errors.ReproError`, e.g. a genuinely malformed
-    query) propagate exactly as they would from the serial loop.
+    worker's heuristic tables still see their targets grouped), a few per
+    worker for load balance.  The parent waits at most ``chunk_timeout``
+    seconds per chunk: a chunk whose worker died, hung, or raised anything
+    other than a library error is re-executed serially in the parent, so a
+    crashed child degrades one chunk's latency instead of losing the batch.
+    Library errors (:class:`~repro.errors.ReproError`, e.g. a genuinely
+    malformed query) propagate exactly as they would from the serial loop.
     """
     context = _fork_context()
     if context is None:
@@ -486,7 +318,7 @@ def _run_parallel(
 
     for i in failed:
         recover_start = time.perf_counter()
-        pairs.extend(_evaluate_serial(engine, chunks[i]))
+        pairs.extend(_evaluate_chunk(engine, chunks[i]))
         _observe_chunk("recovered", time.perf_counter() - recover_start)
     report.recovered_chunks = len(failed)
     report.mode = "parallel-recovered" if failed else "parallel"
@@ -500,12 +332,10 @@ def batch_query(
     chunk_timeout: float = DEFAULT_CHUNK_TIMEOUT,
     report: BatchReport | None = None,
 ) -> list[FSPResult]:
-    """Evaluate ``queries`` with target-grouped ordering and a shared cache.
+    """Evaluate ``queries`` in target-grouped order.
 
-    Results align with the input order.  The engine's oracle is wrapped in
-    a :class:`MemoizedOracle` for the duration of the batch (restored
-    afterwards); with ``oracle=None`` engines the call degrades to a plain
-    loop.
+    Results align with the input order and equal a plain
+    ``[engine.query(q) for q in queries]`` loop.
 
     Parameters
     ----------
@@ -572,7 +402,7 @@ def _batch_query_impl(
 
     report.mode = "serial"
     serial_start = time.perf_counter()
-    for position, result in _evaluate_serial(engine, indexed):
+    for position, result in _evaluate_chunk(engine, indexed):
         results[position] = result
     _observe_chunk("serial", time.perf_counter() - serial_start)
     _record_batch(report, len(queries))

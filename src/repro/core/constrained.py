@@ -27,12 +27,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.fpsps import FlowAwareEngine
+from repro.core.fpsps import FlowAwareEngine, score_candidates
 from repro.core.fspq import FSPQuery, FSPResult
 from repro.errors import QueryError
 from repro.paths.astar_search import astar_path
-from repro.paths.candidates import heuristic_for
-from repro.paths.scoring import NormalizationContext, path_flow
+from repro.paths.candidates import collect_candidates, heuristic_for
+from repro.paths.scoring import path_flow
 from repro.paths.yen import iter_shortest_paths
 
 __all__ = ["ConstraintError", "QueryConstraints", "ConstrainedFlowAwareEngine"]
@@ -144,58 +144,37 @@ class ConstrainedFlowAwareEngine(FlowAwareEngine):
             )
         max_distance = self.eta_u * spdis
 
-        paths: list[list[int]] = []
-        distances: list[float] = []
-        flows: list[float] = []
-        rejected = 0
-        truncated = False
         # enumeration budget: rejected candidates must also be bounded, or
         # a tight flow cap could force Yen through the entire (potentially
         # huge) MCPDis path space before giving up
-        budget = self.max_candidates * 8
-        for path, dist in iter_shortest_paths(
-            graph, source, target, heuristic,
-            max_distance=max_distance, banned_vertices=banned,
-        ):
-            if len(paths) == self.max_candidates or budget == 0:
-                truncated = True
-                break
-            budget -= 1
-            if not constraints.admits(path, flow_vector):
-                rejected += 1
-                continue
-            paths.append(path)
-            distances.append(dist)
-            flows.append(path_flow(flow_vector, path))
-        if not paths:
+        candidates = collect_candidates(
+            iter_shortest_paths(
+                graph, source, target, heuristic,
+                max_distance=max_distance, banned_vertices=banned,
+            ),
+            flow_vector,
+            max_candidates=self.max_candidates,
+            admit=lambda path: constraints.admits(path, flow_vector),
+            max_pulls=self.max_candidates * 8,
+        )
+        if not candidates.paths:
             raise ConstraintError(
                 f"no feasible path between {source} and {target} within "
-                f"MCPDis={max_distance} ({rejected} candidates rejected)"
+                f"MCPDis={max_distance} ({candidates.rejected} candidates "
+                "rejected)"
             )
 
-        context = NormalizationContext(
-            dist_min=spdis,
-            dist_max=max_distance,
-            flow_min=min(flows),
-            flow_max=max(flows),
+        best, scores, _ = score_candidates(
+            candidates.distances, candidates.flows, spdis, max_distance,
+            self.alpha,
         )
-        best: tuple[float, float, float] | None = None
-        best_index = -1
-        for i, (dist, flow) in enumerate(zip(distances, flows)):
-            score = self.alpha * context.normalize_distance(dist) + (
-                1.0 - self.alpha
-            ) * context.normalize_flow(flow)
-            key = (score, dist, flow)
-            if best is None or key < best:
-                best = key
-                best_index = i
         return FSPResult(
-            path=tuple(paths[best_index]),
-            distance=distances[best_index],
-            flow=flows[best_index],
-            score=best[0],
+            path=tuple(candidates.paths[best]),
+            distance=candidates.distances[best],
+            flow=candidates.flows[best],
+            score=float(scores[best]),
             shortest_distance=spdis,
-            num_candidates=len(paths),
-            num_pruned=rejected,
-            truncated=truncated,
+            num_candidates=len(candidates.paths),
+            num_pruned=candidates.rejected,
+            truncated=candidates.truncated,
         )

@@ -1,10 +1,14 @@
 """Flat single-query FSPQ kernel over the packed label arena.
 
-A scalar FSPQ query spends ~80% of its time in Yen spur searches, and each
-spur search spends most of *its* time in per-vertex Python work: heuristic
-calls into the oracle, dict-based distance maps, and banned-edge set
-construction that rescans every accepted path.  :class:`FlatQueryKernel`
-keeps the exact algorithm — the candidate stream is **bit-identical** to
+An FSPQ query's time goes to candidate collection (Yen spur searches) and
+to the A* heuristic; on the serving benchmark's ``citywide_closed``
+workload (``servebench/``, traced) the flat kernel's collection,
+spur searches included, takes 56% of request time and the heuristic
+table 41%.  Each reference spur search spends most of its time in
+per-vertex Python work: heuristic calls into the oracle, dict-based
+distance maps, and banned-edge set construction that rescans every
+accepted path.  :class:`FlatQueryKernel` is a *path source* that keeps
+the exact algorithm — its stream is **bit-identical** to
 :func:`repro.paths.yen.iter_shortest_paths` driven by an
 :class:`~repro.paths.astar_search.OracleHeuristic` — but restructures the
 state so the per-vertex work collapses:
@@ -44,7 +48,7 @@ import heapq
 import math
 from typing import TYPE_CHECKING, Iterator
 
-from repro.paths.scoring import path_flow
+from repro.paths.candidates import Candidates, DominanceStop, collect_candidates
 
 if TYPE_CHECKING:  # circular-import guard: hierarchy is typing-only here
     from repro.core.overlay import DeltaOverlay
@@ -396,71 +400,31 @@ class FlatQueryKernel:
         max_distance: float,
         flow_vector,
         max_candidates: int,
-    ) -> tuple[list[list[int]], list[float], list[float], bool, bool]:
-        """Capped full enumeration — mirrors the engine's eager collector."""
-        paths: list[list[int]] = []
-        distances: list[float] = []
-        flows: list[float] = []
-        truncated = False
-        for path, dist in self.iter_paths(
-            source, target, max_distance, max_pulls=max_candidates + 1
-        ):
-            if len(paths) == max_candidates:
-                truncated = True
-                break
-            paths.append(path)
-            distances.append(dist)
-            flows.append(path_flow(flow_vector, path))
-        return paths, distances, flows, truncated, False
+    ) -> Candidates:
+        """Capped full enumeration through the shared collector."""
+        return collect_candidates(
+            self.iter_paths(
+                source, target, max_distance, max_pulls=max_candidates + 1
+            ),
+            flow_vector,
+            max_candidates=max_candidates,
+        )
 
     def collect_lazy(
         self,
         source: int,
         target: int,
-        spdis: float,
         max_distance: float,
         flow_vector,
-        alpha: float,
         max_candidates: int,
-        min_candidates: int,
-    ) -> tuple[list[list[int]], list[float], list[float], bool, bool]:
-        """Lazy enumeration with the score-dominance stop (FAHL-W).
-
-        Same float arithmetic and the same stop test as the engine's
-        scalar collector, so the collected prefix is identical.
-        """
-        dist_range = max_distance - spdis
-        paths: list[list[int]] = []
-        distances: list[float] = []
-        flows: list[float] = []
-        truncated = False
-        early_stopped = False
-
-        def best_score() -> float:
-            flow_min = min(flows)
-            flow_max = max(flows)
-            flow_range = flow_max - flow_min
-            best = _INF
-            for dist, flow in zip(distances, flows):
-                d_term = (dist - spdis) / dist_range if dist_range > 0 else 0.0
-                f_term = (flow - flow_min) / flow_range if flow_range > 0 else 0.0
-                score = alpha * d_term + (1.0 - alpha) * f_term
-                if score < best:
-                    best = score
-            return best
-
-        for path, dist in self.iter_paths(
-            source, target, max_distance, max_pulls=max_candidates + 1
-        ):
-            if len(paths) == max_candidates:
-                truncated = True
-                break
-            if len(paths) >= min_candidates:
-                d_term = (dist - spdis) / dist_range if dist_range > 0 else 0.0
-                if alpha * d_term > best_score():
-                    early_stopped = True
-                    break
-            paths.append(path)
-            distances.append(dist)
-            flows.append(path_flow(flow_vector, path))
-        return paths, distances, flows, truncated, early_stopped
+        stop: DominanceStop,
+    ) -> Candidates:
+        """Lazy enumeration with the score-dominance stop (FAHL-W)."""
+        return collect_candidates(
+            self.iter_paths(
+                source, target, max_distance, max_pulls=max_candidates + 1
+            ),
+            flow_vector,
+            max_candidates=max_candidates,
+            stop=stop,
+        )

@@ -4,17 +4,27 @@
 Section V:
 
 1. compute ``SPDis(Q_u, D_u)`` with the configured distance oracle and
-   enumerate the candidate set within ``MCPDis = η_u · SPDis``;
+   collect the candidate set within ``MCPDis = η_u · SPDis``;
 2. compute each candidate's path flow, apply the flow pruning bounds, and
    score the survivors with Eq. 1, keeping the minimum.
+
+Every oracle runs the same pipeline: the engine only picks a *path
+source* — the flat kernel's :meth:`~repro.core.flatq.FlatQueryKernel.iter_paths`
+for hierarchy oracles, otherwise lazy Yen
+(:func:`~repro.paths.yen.iter_shortest_paths`) or the sorted exhaustive
+DFS list — feeds it to the one collector
+(:func:`~repro.paths.candidates.collect_candidates`) and hands the
+candidates to the one scorer, :func:`score_candidates`.  Flat and scalar
+answers therefore agree in collection and scoring by construction; they
+differ only in how the paths are produced.
 
 The engine is method-agnostic: plugging in a FAHL/H2H/CH/G-tree oracle (or
 ``None`` for the index-free A* baseline) yields the paper's comparison rows.
 ``pruning`` selects FAHL-W's Lemma-4 bounds (paper behaviour), the
 always-sound adaptive bound, or no pruning (FAHL-O and all baselines).
 
-With pruning enabled the engine consumes candidates *lazily* (Yen's
-generator yields them in non-decreasing distance) and applies a
+With Lemma-4 pruning the collector consumes candidates *lazily* (every
+source yields them in non-decreasing distance) and applies a
 score-dominance stop: once the next candidate's normalised-distance term
 ``α · PDis'`` alone exceeds the best score seen, no farther candidate can
 win and the remaining — and dominant — spur-search work is skipped.  This
@@ -35,11 +45,7 @@ import time
 import numpy as np
 
 from repro import obs
-from repro.core.bounds import (
-    adaptive_prune_mask,
-    adaptive_upper_bound,
-    lemma4_bounds,
-)
+from repro.core.bounds import adaptive_prune_mask, lemma4_bounds
 from repro.core.flatq import FlatQueryKernel
 from repro.core.fspq import FSPQuery, FSPResult
 from repro.core.overlay import OverlayOracle
@@ -48,14 +54,14 @@ from repro.graph.frn import FlowAwareRoadNetwork
 from repro.labeling.hierarchy import HierarchyIndex
 from repro.paths.astar_search import astar_path
 from repro.paths.candidates import (
+    DominanceStop,
+    collect_candidates,
     enumerate_all_paths_within,
-    generate_candidates,
     heuristic_for,
 )
-from repro.paths.scoring import NormalizationContext, path_flow
 from repro.paths.yen import iter_shortest_paths
 
-__all__ = ["FlowAwareEngine", "KERNEL_MODES", "PRUNING_MODES"]
+__all__ = ["FlowAwareEngine", "KERNEL_MODES", "PRUNING_MODES", "score_candidates"]
 
 PRUNING_MODES = ("none", "lemma4", "adaptive")
 KERNEL_MODES = ("flat", "scalar")
@@ -79,6 +85,59 @@ _KERNEL_COUNTERS = {
         "one-to-all heuristic tables built by the flat kernel",
     ),
 }
+
+
+def score_candidates(
+    distances: list[float],
+    flows: list[float],
+    spdis: float,
+    max_distance: float,
+    alpha: float,
+    pruning: str = "none",
+    eta_u: float | None = None,
+) -> tuple[int, np.ndarray, int]:
+    """Alg. 5's second stage: prune, score by Eq. 1, keep the minimum.
+
+    Distances are normalised over ``[SPDis, MCPDis]`` and flows over the
+    candidates' own min/max (Def. 5); a degenerate range contributes 0.
+    ``pruning`` applies the Lemma-4 interval (needs ``eta_u``) or the
+    adaptive incumbent bound as whole-vector masks.  The winner is the
+    first candidate with the minimal ``(score, distance, flow)`` key — a
+    stable lexsort, i.e. exactly what a sequential strict-less scan
+    keeps.  When every candidate is pruned (possible under Lemma 4) the
+    spatially shortest one, index 0, wins.
+
+    Returns ``(best_index, scores, num_pruned)``.
+    """
+    dists = np.asarray(distances, dtype=np.float64)
+    flows_arr = np.asarray(flows, dtype=np.float64)
+    flow_min = min(flows)
+    flow_max = max(flows)
+    dist_range = max_distance - spdis
+    flow_range = flow_max - flow_min
+    if dist_range > 0:
+        d_terms = (dists - spdis) / dist_range
+    else:
+        d_terms = np.zeros_like(dists)
+    if flow_range > 0:
+        f_terms = (flows_arr - flow_min) / flow_range
+    else:
+        f_terms = np.zeros_like(flows_arr)
+    scores = alpha * d_terms + (1.0 - alpha) * f_terms
+
+    if pruning == "lemma4":
+        bounds = lemma4_bounds(flow_min, flow_max, alpha, eta_u)
+        pruned = bounds.prunes_many(flows_arr)
+    elif pruning == "adaptive":
+        pruned = adaptive_prune_mask(scores, flows_arr, flow_min, flow_max, alpha)
+    else:
+        pruned = np.zeros(len(flows), dtype=bool)
+    alive = np.flatnonzero(~pruned)
+    best_index = 0
+    if alive.size:
+        order = np.lexsort((flows_arr[alive], dists[alive], scores[alive]))
+        best_index = int(alive[order[0]])
+    return best_index, scores, int(pruned.sum())
 
 
 def _counter_total(snapshot: dict, name: str) -> int:
@@ -123,15 +182,16 @@ class FlowAwareEngine:
         enumeration work for much better agreement with the unpruned
         optimum (measured in EXPERIMENTS.md).
     kernel:
-        ``"flat"`` (default) evaluates queries through the vectorised
+        ``"flat"`` (default) draws candidate paths from the
         :class:`~repro.core.flatq.FlatQueryKernel` whenever the oracle is
         a hierarchy index over this FRN's graph — bit-identical results,
         roughly an order of magnitude faster.  ``"scalar"`` forces the
-        reference pure-Python path (the exactness baseline the flat
-        kernel is tested against).  Oracles the kernel cannot speak for
-        (``None``, non-hierarchy baselines, ALT-style oracles with their
-        own heuristic factory, exhaustive mode) silently use the scalar
-        path either way.
+        reference path iterator (the exactness baseline the flat kernel
+        is tested against); collection and scoring are shared either
+        way.  Oracles the kernel cannot speak for (``None``,
+        non-hierarchy baselines, ALT-style oracles with their own
+        heuristic factory, exhaustive mode) silently use the reference
+        iterator.
     """
 
     def __init__(
@@ -216,13 +276,9 @@ class FlowAwareEngine:
         for :class:`~repro.core.overlay.OverlayOracle` wrappers over such
         an index (stable ⊕ overlay serving: the kernel's heuristic tables
         and adjacency then track the overlay's exact current-graph view).
-        The batch path's :class:`~repro.core.batch.MemoizedOracle` swap is
-        transparent: the kernel reads the label arena directly and never
-        calls ``oracle.distance``, so it is unwrapped to the index it
-        memoises (keyed on that inner index, the cached kernel survives
-        the per-batch wrapper churn).  Anything else (index-free
-        baselines, ALT oracles with a ``heuristic`` factory, exhaustive
-        enumeration) falls back to the scalar reference.  A cached kernel
+        Anything else (index-free baselines, ALT oracles with a
+        ``heuristic`` factory, exhaustive enumeration) falls back to the
+        reference path iterator.  A cached kernel
         is dropped whenever the underlying index object changes,
         maintenance bumps its label version, or (overlay-free) the graph's
         ``mutation_version`` moves — an ILU can change an off-shortest-path
@@ -231,11 +287,7 @@ class FlowAwareEngine:
         """
         if self.kernel != "flat" or self.exhaustive:
             return None
-        from repro.core.batch import MemoizedOracle  # circular at module scope
-
         oracle = self.oracle
-        if isinstance(oracle, MemoizedOracle):
-            oracle = oracle.wrapped
         overlay = None
         if isinstance(oracle, OverlayOracle):
             overlay = oracle.overlay
@@ -333,85 +385,6 @@ class FlowAwareEngine:
         return self
 
     # ------------------------------------------------------------------
-    # candidate collection
-    # ------------------------------------------------------------------
-    def _collect_eager(
-        self,
-        source: int,
-        target: int,
-        max_distance: float,
-        flow_vector: np.ndarray,
-    ) -> tuple[list[list[int]], list[float], list[float], bool, bool]:
-        """Full (capped) enumeration — FAHL-O / baselines / exhaustive."""
-        if self.exhaustive:
-            candidates = enumerate_all_paths_within(
-                self.frn.graph, source, target, max_distance
-            )
-        else:
-            candidates = generate_candidates(
-                self.frn.graph,
-                source,
-                target,
-                max_distance,
-                oracle=self.oracle,
-                max_candidates=self.max_candidates,
-            )
-        flows = [path_flow(flow_vector, path) for path in candidates.paths]
-        return candidates.paths, candidates.distances, flows, candidates.truncated, False
-
-    def _collect_lazy(
-        self,
-        source: int,
-        target: int,
-        spdis: float,
-        max_distance: float,
-        flow_vector: np.ndarray,
-    ) -> tuple[list[list[int]], list[float], list[float], bool, bool]:
-        """Lazy enumeration with the score-dominance stop (FAHL-W).
-
-        Candidates arrive in non-decreasing distance; enumeration stops as
-        soon as the next candidate's ``α·PDis'`` term alone exceeds the
-        best score over the already-seen set (under the seen flow anchors).
-        """
-        graph = self.frn.graph
-        heuristic = heuristic_for(graph, self.oracle, target)
-        dist_range = max_distance - spdis
-        paths: list[list[int]] = []
-        distances: list[float] = []
-        flows: list[float] = []
-        truncated = False
-        early_stopped = False
-
-        def best_score() -> float:
-            flow_min = min(flows)
-            flow_max = max(flows)
-            flow_range = flow_max - flow_min
-            best = math.inf
-            for dist, flow in zip(distances, flows):
-                d_term = (dist - spdis) / dist_range if dist_range > 0 else 0.0
-                f_term = (flow - flow_min) / flow_range if flow_range > 0 else 0.0
-                score = self.alpha * d_term + (1.0 - self.alpha) * f_term
-                if score < best:
-                    best = score
-            return best
-
-        for path, dist in iter_shortest_paths(
-            graph, source, target, heuristic, max_distance=max_distance
-        ):
-            if len(paths) == self.max_candidates:
-                truncated = True
-                break
-            if len(paths) >= self.min_candidates:
-                d_term = (dist - spdis) / dist_range if dist_range > 0 else 0.0
-                if self.alpha * d_term > best_score():
-                    early_stopped = True
-                    break
-            paths.append(path)
-            distances.append(dist)
-            flows.append(path_flow(flow_vector, path))
-        return paths, distances, flows, truncated, early_stopped
-
-    # ------------------------------------------------------------------
     def query(self, query: FSPQuery) -> FSPResult:
         """Answer one FSPQ query (Alg. 5), recording telemetry when on.
 
@@ -472,18 +445,18 @@ class FlowAwareEngine:
         Returns a :class:`repro.obs.QueryExplain` whose answer fields are
         **bit-identical** to :meth:`query` — the evaluation goes through
         the exact same :meth:`_query_impl`, under a private capture
-        registry that harvests the label/pruning counters.  A diagnostic
-        entry point: it briefly swaps the process registry, so it is not
-        meant for the concurrent hot path.
+        registry that harvests the label/pruning counters.  The capture is
+        context-local (:func:`repro.obs.capture_registry`), so requests
+        served concurrently on other threads keep reporting to the process
+        registry.
         """
         query = FSPQuery(source, target, timestep).validated(
             self.frn.num_vertices, self.frn.num_timesteps
         )
         stages: dict[str, float] = {}
         capture = obs.MetricsRegistry(enabled=True)
-        previous = obs.set_registry(capture)
         t_total = time.perf_counter()
-        try:
+        with obs.capture_registry(capture):
             kern = self._flat_kernel()
             kern_before = dict(kern.stats) if kern is not None else None
             # probe SPDis separately so the heuristic-table/oracle work is
@@ -496,8 +469,6 @@ class FlowAwareEngine:
             t0 = time.perf_counter()
             result = self._query_impl(query)
             stages["evaluate"] = time.perf_counter() - t0
-        finally:
-            obs.set_registry(previous)
         stages["total"] = time.perf_counter() - t_total
         snapshot = capture.snapshot()
 
@@ -583,181 +554,78 @@ class FlowAwareEngine:
             )
 
         kern = self._flat_kernel()
+        registry = obs.get_registry()
+        before = dict(kern.stats) if kern is not None and registry.enabled else None
         if kern is not None:
-            return self._query_flat(kern, source, target, flow_vector)
-
-        spdis = self.shortest_distance(source, target)
+            spdis = kern.h_to(target)[source]
+        else:
+            spdis = self.shortest_distance(source, target)
         if not math.isfinite(spdis):
             raise QueryError(f"vertices {source} and {target} are disconnected")
         max_distance = self.eta_u * spdis
 
         # only lemma4 (FAHL-W) uses the lazy stop: "adaptive" stays a
-        # provably lossless scoring-only prune, so it enumerates eagerly.
-        lazy = self.pruning == "lemma4" and not self.exhaustive
-        if lazy:
-            paths, distances, flows, truncated, early_stopped = self._collect_lazy(
-                source, target, spdis, max_distance, flow_vector
+        # provably lossless scoring-only prune, so it collects eagerly.
+        stop = None
+        if self.pruning == "lemma4" and not self.exhaustive:
+            stop = DominanceStop(
+                spdis, max_distance, self.alpha, self.min_candidates
             )
-        else:
-            paths, distances, flows, truncated, early_stopped = self._collect_eager(
-                source, target, max_distance, flow_vector
-            )
-        if not paths:
-            raise QueryError(
-                f"no candidate paths between {source} and {target} "
-                f"within MCPDis={max_distance}"
-            )
-
-        context = NormalizationContext(
-            dist_min=spdis,
-            dist_max=max_distance,
-            flow_min=min(flows),
-            flow_max=max(flows),
-        )
-        bounds = None
-        if self.pruning == "lemma4":
-            bounds = lemma4_bounds(
-                context.flow_min, context.flow_max, self.alpha, self.eta_u
-            )
-
-        best_key: tuple[float, float, float] | None = None
-        best_index = -1
-        num_pruned = 0
-        for i, (dist, flow) in enumerate(zip(distances, flows)):
-            if bounds is not None and bounds.prunes(flow):
-                num_pruned += 1
-                continue
-            if (
-                self.pruning == "adaptive"
-                and best_key is not None
-                and flow > adaptive_upper_bound(
-                    best_key[0], context.flow_min, context.flow_max, self.alpha
-                )
-            ):
-                num_pruned += 1
-                continue
-            score = self.alpha * context.normalize_distance(dist) + (
-                1.0 - self.alpha
-            ) * context.normalize_flow(flow)
-            key = (score, dist, flow)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_index = i
-        if best_key is None:
-            # every candidate was pruned (possible under lemma4); fall back
-            # to the spatially shortest candidate, which is always index 0.
-            best_index = 0
-            dist, flow = distances[0], flows[0]
-            score = self.alpha * context.normalize_distance(dist) + (
-                1.0 - self.alpha
-            ) * context.normalize_flow(flow)
-            best_key = (score, dist, flow)
-
-        return FSPResult(
-            path=tuple(paths[best_index]),
-            distance=distances[best_index],
-            flow=flows[best_index],
-            score=best_key[0],
-            shortest_distance=spdis,
-            num_candidates=len(paths),
-            num_pruned=num_pruned,
-            truncated=truncated,
-            early_stopped=early_stopped,
-        )
-
-    def _query_flat(
-        self,
-        kern: FlatQueryKernel,
-        source: int,
-        target: int,
-        flow_vector: np.ndarray,
-    ) -> FSPResult:
-        """Alg. 5 through the flat kernel: vectorised bounds and scoring.
-
-        Candidate enumeration is bit-identical to the scalar collectors
-        (the kernel's contract); pruning and scoring then run as whole
-        candidate-vector operations whose element-wise arithmetic matches
-        the scalar loop exactly — same IEEE operations, same comparisons,
-        same tie-breaking (stable lexsort picks the first index with the
-        minimal ``(score, distance, flow)`` key, which is precisely what
-        the sequential strict-less update keeps).  Returns the same
-        :class:`FSPResult` the scalar path would.
-        """
-        registry = obs.get_registry()
-        before = dict(kern.stats) if registry.enabled else None
-        spdis = kern.h_to(target)[source]
-        if not math.isfinite(spdis):
-            raise QueryError(f"vertices {source} and {target} are disconnected")
-        max_distance = self.eta_u * spdis
-        if self.pruning == "lemma4":
-            paths, distances, flows, truncated, early_stopped = kern.collect_lazy(
-                source,
-                target,
-                spdis,
-                max_distance,
+        if kern is None:
+            candidates = collect_candidates(
+                self._reference_paths(source, target, max_distance),
                 flow_vector,
-                alpha=self.alpha,
-                max_candidates=self.max_candidates,
-                min_candidates=self.min_candidates,
+                max_candidates=None if self.exhaustive else self.max_candidates,
+                stop=stop,
+            )
+        elif stop is None:
+            candidates = kern.collect_eager(
+                source, target, max_distance, flow_vector, self.max_candidates
             )
         else:
-            paths, distances, flows, truncated, early_stopped = kern.collect_eager(
-                source, target, max_distance, flow_vector, self.max_candidates
+            candidates = kern.collect_lazy(
+                source, target, max_distance, flow_vector,
+                self.max_candidates, stop,
             )
         if before is not None:
             for key, (metric, help_text) in _KERNEL_COUNTERS.items():
                 delta = kern.stats[key] - before[key]
                 if delta:
                     registry.counter(metric, help_text).inc(delta)
-        if not paths:
+        if not candidates.paths:
             raise QueryError(
                 f"no candidate paths between {source} and {target} "
                 f"within MCPDis={max_distance}"
             )
 
-        flow_min = min(flows)
-        flow_max = max(flows)
-        dists = np.asarray(distances, dtype=np.float64)
-        flows_arr = np.asarray(flows, dtype=np.float64)
-        dist_range = max_distance - spdis
-        flow_range = flow_max - flow_min
-        if dist_range > 0:
-            d_terms = (dists - spdis) / dist_range
-        else:
-            d_terms = np.zeros_like(dists)
-        if flow_range > 0:
-            f_terms = (flows_arr - flow_min) / flow_range
-        else:
-            f_terms = np.zeros_like(flows_arr)
-        scores = self.alpha * d_terms + (1.0 - self.alpha) * f_terms
-
-        if self.pruning == "lemma4":
-            bounds = lemma4_bounds(flow_min, flow_max, self.alpha, self.eta_u)
-            pruned = bounds.prunes_many(flows_arr)
-        elif self.pruning == "adaptive":
-            pruned = adaptive_prune_mask(
-                scores, flows_arr, flow_min, flow_max, self.alpha
-            )
-        else:
-            pruned = np.zeros(len(flows), dtype=bool)
-        num_pruned = int(pruned.sum())
-        alive = np.flatnonzero(~pruned)
-        if alive.size:
-            order = np.lexsort((flows_arr[alive], dists[alive], scores[alive]))
-            best_index = int(alive[order[0]])
-        else:
-            # every candidate was pruned (possible under lemma4); fall back
-            # to the spatially shortest candidate, which is always index 0.
-            best_index = 0
-
+        best, scores, num_pruned = score_candidates(
+            candidates.distances,
+            candidates.flows,
+            spdis,
+            max_distance,
+            self.alpha,
+            self.pruning,
+            self.eta_u,
+        )
         return FSPResult(
-            path=tuple(paths[best_index]),
-            distance=distances[best_index],
-            flow=flows[best_index],
-            score=float(scores[best_index]),
+            path=tuple(candidates.paths[best]),
+            distance=candidates.distances[best],
+            flow=candidates.flows[best],
+            score=float(scores[best]),
             shortest_distance=spdis,
-            num_candidates=len(paths),
+            num_candidates=len(candidates.paths),
             num_pruned=num_pruned,
-            truncated=truncated,
-            early_stopped=early_stopped,
+            truncated=candidates.truncated,
+            early_stopped=candidates.early_stopped,
+        )
+
+    def _reference_paths(self, source: int, target: int, max_distance: float):
+        """The reference path source: exhaustive DFS or lazy Yen."""
+        graph = self.frn.graph
+        if self.exhaustive:
+            found = enumerate_all_paths_within(graph, source, target, max_distance)
+            return zip(found.paths, found.distances)
+        heuristic = heuristic_for(graph, self.oracle, target)
+        return iter_shortest_paths(
+            graph, source, target, heuristic, max_distance=max_distance
         )

@@ -287,9 +287,8 @@ def time_batch_queries(
 ) -> float:
     """Average seconds per query through :func:`repro.core.batch.batch_query`.
 
-    The batch path shares one memoised oracle across the workload
-    (bulk-prefetched via ``distance_many`` when the method's index supports
-    it) and can fan out to a process pool; its results are identical to
+    The batch path evaluates the workload in target-grouped order and can
+    fan out to a process pool; its results are identical to
     :func:`time_queries`' per-query evaluation, so figures may use either.
     """
     if not queries:

@@ -39,6 +39,10 @@ Prometheus/JSONL exports) and ``fahl-repro obs lint`` (the CI gate).
 
 from __future__ import annotations
 
+import contextlib
+from contextvars import ContextVar
+from typing import Iterator
+
 from repro.obs.context import (
     RequestContext,
     activate_wire,
@@ -105,6 +109,7 @@ __all__ = [
     "Stopwatch",
     "Tracer",
     "activate_wire",
+    "capture_registry",
     "counter",
     "current_context",
     "current_wire",
@@ -140,10 +145,34 @@ __all__ = [
 #: and skips all bookkeeping, so plain library use stays uninstrumented.
 _REGISTRY = MetricsRegistry(enabled=False)
 
+#: A context-local override of the process registry (see
+#: :func:`capture_registry`).  Checked first by :func:`get_registry` and
+#: the module-level instrument helpers, so a capture in one thread or task
+#: never diverts another's metrics.
+_CAPTURE: ContextVar[MetricsRegistry | None] = ContextVar(
+    "repro_obs_capture", default=None
+)
+
 
 def get_registry() -> MetricsRegistry:
-    """The currently active process registry."""
-    return _REGISTRY
+    """The active registry: this context's capture, else the process one."""
+    captured = _CAPTURE.get()
+    return _REGISTRY if captured is None else captured
+
+
+@contextlib.contextmanager
+def capture_registry(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
+    """Send the current context's metrics to ``registry`` for the block.
+
+    Context-local (a :class:`~contextvars.ContextVar`): other threads and
+    asyncio tasks keep writing to the process registry meanwhile.  This is
+    how ``explain()`` harvests one query's counters while serving goes on.
+    """
+    token = _CAPTURE.set(registry)
+    try:
+        yield registry
+    finally:
+        _CAPTURE.reset(token)
 
 
 def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
@@ -156,26 +185,26 @@ def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
 
 def enable() -> MetricsRegistry:
     """Enable metric collection on the active registry."""
-    return _REGISTRY.enable()
+    return get_registry().enable()
 
 
 def disable() -> MetricsRegistry:
     """Disable metric collection on the active registry."""
-    return _REGISTRY.disable()
+    return get_registry().disable()
 
 
 def counter(name: str, help: str = "") -> Counter:
     """Fetch/create a counter on the active registry (null when disabled)."""
-    return _REGISTRY.counter(name, help)
+    return get_registry().counter(name, help)
 
 
 def gauge(name: str, help: str = "") -> Gauge:
     """Fetch/create a gauge on the active registry (null when disabled)."""
-    return _REGISTRY.gauge(name, help)
+    return get_registry().gauge(name, help)
 
 
 def histogram(
     name: str, help: str = "", buckets: tuple[float, ...] | None = None
 ) -> Histogram:
     """Fetch/create a histogram on the active registry (null when disabled)."""
-    return _REGISTRY.histogram(name, help, buckets=buckets)
+    return get_registry().histogram(name, help, buckets=buckets)

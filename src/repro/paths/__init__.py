@@ -1,4 +1,4 @@
-"""Candidate path enumeration and flow-aware scoring."""
+"""Path sources, candidate collection and path flow."""
 
 from repro.paths.astar_search import (
     AdmissibleHeuristic,
@@ -8,33 +8,29 @@ from repro.paths.astar_search import (
     astar_path,
 )
 from repro.paths.candidates import (
+    Candidates,
+    DominanceStop,
+    collect_candidates,
     enumerate_all_paths_within,
-    generate_candidates,
     heuristic_for,
     path_distance,
 )
-from repro.paths.scoring import (
-    NormalizationContext,
-    ScoredPath,
-    path_flow,
-    score_candidates,
-)
+from repro.paths.scoring import path_flow
 from repro.paths.yen import CandidateSet, k_shortest_paths
 
 __all__ = [
     "AdmissibleHeuristic",
     "CandidateSet",
+    "Candidates",
+    "DominanceStop",
     "EuclideanHeuristic",
-    "NormalizationContext",
     "OracleHeuristic",
-    "ScoredPath",
     "ZeroHeuristic",
     "astar_path",
+    "collect_candidates",
     "enumerate_all_paths_within",
-    "generate_candidates",
     "heuristic_for",
     "k_shortest_paths",
     "path_distance",
     "path_flow",
-    "score_candidates",
 ]

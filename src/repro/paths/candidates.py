@@ -1,12 +1,14 @@
-"""Candidate path generation for FSPQ (the ``Path_c`` of Alg. 5).
+"""Candidate path collection for FSPQ (the ``Path_c`` of Alg. 5).
 
 The paper generates candidates "by the LCA node and Eq. 5"; concretely, a
 candidate set must hold every simple path whose spatial distance does not
 exceed ``MCPDis = η_u · SPDis`` (longer paths can never be the flow-aware
-optimum — Def. 5).  We enumerate them with bounded Yen deviations
-(:mod:`repro.paths.yen`) guided by the querying method's own distance
-oracle, so a faster oracle yields faster candidate generation — the same
-lever the paper's indexes pull.
+optimum — Def. 5).  A *path source* yields those paths in non-decreasing
+distance — bounded Yen deviations (:mod:`repro.paths.yen`) guided by the
+querying method's own distance oracle, the flat kernel's restructured Yen,
+or the exhaustive DFS reference — and :func:`collect_candidates` is the one
+consumer every engine uses: it holds the candidate cap, the ``truncated``
+report and FAHL-W's score-dominance stop, each written once.
 
 :func:`enumerate_all_paths_within` is an exponential exhaustive reference
 for property tests on small graphs.
@@ -15,6 +17,10 @@ for property tests on small graphs.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
+
+import numpy as np
 
 from repro.graph.road_network import RoadNetwork
 from repro.paths.astar_search import (
@@ -23,13 +29,132 @@ from repro.paths.astar_search import (
     OracleHeuristic,
     ZeroHeuristic,
 )
-from repro.paths.yen import CandidateSet, k_shortest_paths
+from repro.paths.scoring import path_flow
+from repro.paths.yen import CandidateSet
 
 __all__ = [
-    "generate_candidates",
-    "heuristic_for",
+    "Candidates",
+    "DominanceStop",
+    "collect_candidates",
     "enumerate_all_paths_within",
+    "heuristic_for",
 ]
+
+
+@dataclass(frozen=True)
+class Candidates:
+    """One query's collected candidate set, in non-decreasing distance.
+
+    ``truncated`` says the cap (or the pull budget) fired before the
+    path source ran dry; ``early_stopped`` says the score-dominance stop
+    ended the collection; ``rejected`` counts paths refused by ``admit``.
+    """
+
+    paths: list[list[int]]
+    distances: list[float]
+    flows: list[float]
+    truncated: bool = False
+    early_stopped: bool = False
+    rejected: int = 0
+
+
+@dataclass(frozen=True)
+class DominanceStop:
+    """FAHL-W's lazy score-dominance stop.
+
+    Candidates arrive in non-decreasing distance, so once the next one's
+    ``α·PDis'`` term alone exceeds the best Eq.-1 score over the
+    already-collected set (under the collected flow anchors), no farther
+    candidate can win.  The stop never fires before ``min_candidates``
+    paths are in, and it excludes the triggering candidate.
+    """
+
+    spdis: float
+    max_distance: float
+    alpha: float
+    min_candidates: int
+
+    def best_score(self, distances: list[float], flows: list[float]) -> float:
+        """The minimal Eq.-1 score over the collected candidates."""
+        dist_range = self.max_distance - self.spdis
+        flow_min = min(flows)
+        flow_max = max(flows)
+        flow_range = flow_max - flow_min
+        best = math.inf
+        for dist, flow in zip(distances, flows):
+            d_term = (dist - self.spdis) / dist_range if dist_range > 0 else 0.0
+            f_term = (flow - flow_min) / flow_range if flow_range > 0 else 0.0
+            score = self.alpha * d_term + (1.0 - self.alpha) * f_term
+            if score < best:
+                best = score
+        return best
+
+    def fires(self, dist: float, distances: list[float],
+              flows: list[float]) -> bool:
+        """Whether a candidate at ``dist`` (and all after it) can be cut."""
+        if len(distances) < self.min_candidates:
+            return False
+        dist_range = self.max_distance - self.spdis
+        d_term = (dist - self.spdis) / dist_range if dist_range > 0 else 0.0
+        return self.alpha * d_term > self.best_score(distances, flows)
+
+
+def collect_candidates(
+    source: Iterable[tuple[list[int], float]],
+    flow_vector: np.ndarray,
+    max_candidates: int | None = None,
+    stop: DominanceStop | None = None,
+    admit: Callable[[list[int]], bool] | None = None,
+    max_pulls: int | None = None,
+) -> Candidates:
+    """Consume a path source into the candidate set of one query.
+
+    Parameters
+    ----------
+    source:
+        ``(path, distance)`` pairs in non-decreasing distance, all within
+        MCPDis.
+    flow_vector:
+        Per-vertex flow at the query slice; each kept path's flow is
+        :func:`~repro.paths.scoring.path_flow` over it.
+    max_candidates:
+        Cap on kept paths (``None`` = uncapped, the exhaustive reference).
+        When the source yields one more path past the cap, ``truncated``
+        is set.
+    stop:
+        The lazy score-dominance stop (FAHL-W), or ``None`` to collect
+        eagerly.
+    admit:
+        Optional path filter (constrained FSPQ); refused paths are counted
+        in ``rejected`` and do not enter the set.
+    max_pulls:
+        Budget on paths pulled from the source, kept or refused; hitting
+        it also sets ``truncated``.
+    """
+    paths: list[list[int]] = []
+    distances: list[float] = []
+    flows: list[float] = []
+    truncated = False
+    early_stopped = False
+    rejected = 0
+    pulls = 0
+    for path, dist in source:
+        if len(paths) == max_candidates or pulls == max_pulls:
+            # the source produced one more path within the bound: the cap
+            # fired before the distance bound did.
+            truncated = True
+            break
+        pulls += 1
+        if stop is not None and stop.fires(dist, distances, flows):
+            early_stopped = True
+            break
+        if admit is not None and not admit(path):
+            rejected += 1
+            continue
+        paths.append(path)
+        distances.append(dist)
+        flows.append(path_flow(flow_vector, path))
+    return Candidates(paths, distances, flows, truncated, early_stopped, rejected)
 
 
 def heuristic_for(graph: RoadNetwork, oracle, target: int) -> AdmissibleHeuristic:
@@ -49,30 +174,6 @@ def heuristic_for(graph: RoadNetwork, oracle, target: int) -> AdmissibleHeuristi
     if target in graph.coordinates:
         return EuclideanHeuristic(graph, target)
     return ZeroHeuristic()
-
-
-def generate_candidates(
-    graph: RoadNetwork,
-    source: int,
-    target: int,
-    max_distance: float,
-    oracle=None,
-    max_candidates: int = 64,
-) -> CandidateSet:
-    """All simple paths with distance <= ``max_distance`` (capped).
-
-    ``oracle`` is any object with ``distance(u, v)``; ``None`` selects the
-    index-free heuristics (the A*/Dijkstra baselines).
-    """
-    heuristic = heuristic_for(graph, oracle, target)
-    return k_shortest_paths(
-        graph,
-        source,
-        target,
-        heuristic,
-        max_distance=max_distance,
-        max_paths=max_candidates,
-    )
 
 
 def enumerate_all_paths_within(

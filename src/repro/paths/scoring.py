@@ -1,95 +1,21 @@
-"""Flow-aware distance scoring (paper Def. 5, Eq. 1-3).
+"""Path traffic-flow (paper Def. 3).
 
-The flow-aware distance of a candidate path blends its min-max normalised
-spatial distance and traffic-flow:
+The flow-aware distance of a candidate path (Def. 5, Eq. 1-3) blends its
+min-max normalised spatial distance and this traffic-flow:
 
 .. math::
 
     FSD = \\alpha \\cdot PDis' + (1 - \\alpha) \\cdot TF'
 
-Normalisation constants follow the paper: the distance range is anchored at
-``[SPDis, MCPDis]`` (shortest distance to the user-constrained maximum,
-Def. 5's discussion), and the flow range is the min/max over the candidate
-set at the query time slice.  Degenerate ranges (all candidates equal in a
-dimension) contribute zero, which matches the limit of the formula.
+Eq. 1 itself, with its normalisation anchors and the pruning bounds, is
+evaluated in one place: :func:`repro.core.fpsps.score_candidates`.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.errors import QueryError
-
-__all__ = ["NormalizationContext", "ScoredPath", "score_candidates"]
-
-
-@dataclass(frozen=True)
-class NormalizationContext:
-    """Fixed normalisation anchors for one query."""
-
-    dist_min: float
-    dist_max: float
-    flow_min: float
-    flow_max: float
-
-    @property
-    def dist_range(self) -> float:
-        return self.dist_max - self.dist_min
-
-    @property
-    def flow_range(self) -> float:
-        return self.flow_max - self.flow_min
-
-    def normalize_distance(self, distance: float) -> float:
-        if self.dist_range <= 0:
-            return 0.0
-        return (distance - self.dist_min) / self.dist_range
-
-    def normalize_flow(self, flow: float) -> float:
-        if self.flow_range <= 0:
-            return 0.0
-        return (flow - self.flow_min) / self.flow_range
-
-
-@dataclass(frozen=True)
-class ScoredPath:
-    """A candidate with its spatial distance, path flow, and FSD score."""
-
-    path: tuple[int, ...]
-    distance: float
-    flow: float
-    score: float
-
-
-def score_candidates(
-    paths: list[list[int]],
-    distances: list[float],
-    flows: list[float],
-    alpha: float,
-    context: NormalizationContext,
-) -> list[ScoredPath]:
-    """Score every candidate by Eq. 1 under the given normalisation.
-
-    Returns the candidates sorted by ``(score, distance, flow)`` so index 0
-    is the flow-aware optimum with deterministic tie-breaking.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise QueryError(f"alpha must be in (0, 1), got {alpha}")
-    if not len(paths) == len(distances) == len(flows):
-        raise QueryError("paths, distances and flows must align")
-    scored: list[ScoredPath] = []
-    for path, dist, flow in zip(paths, distances, flows):
-        if not math.isfinite(dist):
-            continue
-        score = alpha * context.normalize_distance(dist) + (
-            1.0 - alpha
-        ) * context.normalize_flow(flow)
-        scored.append(ScoredPath(tuple(path), dist, flow, score))
-    scored.sort(key=lambda s: (s.score, s.distance, s.flow))
-    return scored
+__all__ = ["path_flow"]
 
 
 def path_flow(flow_vector: np.ndarray, path: list[int]) -> float:

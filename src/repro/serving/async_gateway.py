@@ -9,10 +9,11 @@ fast at:
 * **coalescing window** — requests arriving within ``window_seconds``
   (default 1.5 ms) of each other are collected into one window (capped at
   ``max_window``) and dispatched as a *single* ``engine.batch`` call — the
-  sharded gateway then fans one group per shard, the batch pool bulk-fills
-  its memoised oracle with ``distance_many``, and every request in the
-  window shares that work.  Distance requests ride the same window and,
-  for a bare :class:`~repro.core.fpsps.FlowAwareEngine` over a
+  sharded gateway then fans one group per shard, the batch path groups the
+  window's queries by target so they share the flat kernel's heuristic
+  tables, and every request in the window shares that work.  Distance
+  requests ride the same window and, for a bare
+  :class:`~repro.core.fpsps.FlowAwareEngine` over a
   ``distance_many``-capable oracle, resolve through one vectorised call.
 * **admission** — per-client token buckets
   (:class:`~repro.serving.admission.ClientAdmission`) reject over-rate

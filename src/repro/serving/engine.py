@@ -288,7 +288,7 @@ class ResilientEngine:
         """Register a callback fired on every :meth:`invalidate`.
 
         Layers stacked above the engine (the sharded gateway's result
-        cache, memoised oracles, ...) register here so one maintenance
+        cache, ...) register here so one maintenance
         event refreshes *every* derived cache — the engine's own flow
         cache and the listeners are bumped by the same call, never
         separately.
@@ -800,7 +800,7 @@ class ResilientEngine:
         """Evaluate a workload, degrading to the index-free path if needed.
 
         Healthy engines fan the workload through
-        :func:`repro.core.batch.batch_query` (shared memoised oracle, fork
+        :func:`repro.core.batch.batch_query` (target-grouped order, fork
         pool with ``workers > 1``); degraded engines answer serially from
         the fallback engine, query by query, exactly like :meth:`query`.
         ``timeout`` bounds each pool chunk; ``kernel`` overrides the

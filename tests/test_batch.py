@@ -1,15 +1,16 @@
-"""Unit tests for the batch query session, memoized oracle and fork pool."""
+"""Unit tests for the batch query session and fork pool."""
 
 from __future__ import annotations
 
 import pytest
 
 import repro.core.batch as batch_module
-from repro.core.batch import MemoizedOracle, batch_query
+from repro.core.batch import batch_query
 from repro.core.fahl import build_fahl
 from repro.core.fpsps import FlowAwareEngine
 from repro.core.fspq import FSPQuery
 from repro.errors import QueryError
+from repro.labeling.hierarchy import HierarchyIndex
 
 
 def make_queries(frn, rng, count, num_targets=None):
@@ -32,78 +33,6 @@ def engine(small_frn):
     index = build_fahl(small_frn)
     return FlowAwareEngine(small_frn, oracle=index, alpha=0.5, eta_u=3.0,
                            max_candidates=8)
-
-
-class TestMemoizedOracle:
-    def test_caches_symmetrically(self, small_frn):
-        index = build_fahl(small_frn)
-        oracle = MemoizedOracle(index)
-        a = oracle.distance(0, 5)
-        b = oracle.distance(5, 0)
-        assert a == b
-        assert oracle.hits == 1
-        assert oracle.misses == 1
-        assert len(oracle) == 1
-
-    def test_matches_underlying(self, small_frn, rng):
-        index = build_fahl(small_frn)
-        oracle = MemoizedOracle(index)
-        n = small_frn.num_vertices
-        for _ in range(30):
-            s, t = map(int, rng.integers(0, n, 2))
-            assert oracle.distance(s, t) == index.distance(s, t)
-
-    def test_invalidate(self, small_frn):
-        index = build_fahl(small_frn)
-        oracle = MemoizedOracle(index)
-        oracle.distance(0, 1)
-        oracle.invalidate()
-        assert len(oracle) == 0
-
-    def test_path_delegates(self, small_frn):
-        index = build_fahl(small_frn)
-        oracle = MemoizedOracle(index)
-        assert oracle.path(0, 5) == index.path(0, 5)
-
-    def test_requires_distance_method(self):
-        with pytest.raises(QueryError):
-            MemoizedOracle(None)
-        with pytest.raises(QueryError):
-            MemoizedOracle(object())
-
-    def test_distance_many_matches_scalar(self, small_frn, rng):
-        index = build_fahl(small_frn)
-        oracle = MemoizedOracle(index)
-        n = small_frn.num_vertices
-        us = rng.integers(0, n, 40)
-        vs = rng.integers(0, n, 40)
-        oracle.distance(int(us[0]), int(vs[0]))  # seed the cache
-        got = oracle.distance_many(us, vs)
-        for u, v, d in zip(us.tolist(), vs.tolist(), got.tolist()):
-            assert d == index.distance(u, v)
-        assert oracle.hits >= 1
-
-    def test_prefetch_fills_cache_vectorised(self, small_frn):
-        index = build_fahl(small_frn)
-        oracle = MemoizedOracle(index)
-        n = small_frn.num_vertices
-        added = oracle.prefetch(range(n), n - 1)
-        assert added == n - 1 + 1  # one key per pair incl. the self pair
-        assert index.distance(0, n - 1) == oracle.distance(0, n - 1)
-        assert oracle.prefetch(range(n), n - 1) == 0  # idempotent
-
-    def test_prefetch_without_distance_many(self, small_frn):
-        index = build_fahl(small_frn)
-
-        class ScalarOnly:
-            def distance(self, u, v):
-                return index.distance(u, v)
-
-        oracle = MemoizedOracle(ScalarOnly())
-        added = oracle.prefetch([0, 1, 2], 5)
-        assert added == 3
-        assert oracle.distance(1, 5) == index.distance(1, 5)
-        assert oracle.hits == 1
 
 
 class TestBatchQuery:
@@ -130,38 +59,43 @@ class TestBatchQuery:
         assert batch_query(engine, []) == []
 
     def test_shared_targets_hit_cache(self, engine, small_frn, rng):
-        # the memo cache serves the scalar reference path; the flat
-        # kernel reads the label arena directly and never consults it
+        # queries sharing a target reuse the flat kernel's per-target
+        # heuristic table: one arena gather serves the whole group
         n = small_frn.num_vertices
         target = n - 1
         queries = [
             FSPQuery(int(s), target, 0)
             for s in rng.choice(n - 1, size=6, replace=False)
         ]
-        wrapped = MemoizedOracle(engine.oracle)
-        engine.oracle = wrapped
-        try:
-            with engine.kernel_override("scalar"):
-                batch_query(engine, queries)
-        finally:
-            engine.oracle = wrapped.wrapped
-        assert wrapped.hits > 0  # cross-query reuse happened
+        kern = engine._flat_kernel()
+        before = dict(kern.stats)
+        batch_query(engine, queries)
+        assert engine._flat_kernel() is kern
+        assert kern.stats["astar_runs"] > before["astar_runs"]
+        assert kern.stats["heuristic_builds"] == before["heuristic_builds"] + 1
 
-    def test_flat_kernel_survives_batch_wrapper(self, engine, small_frn, rng):
-        # the batch path's MemoizedOracle swap must not demote queries
-        # to the scalar kernel: the flat kernel unwraps the memoiser and
-        # answers off the arena without a single oracle call
+    def test_flat_kernel_survives_batch_wrapper(
+        self, engine, small_frn, rng, monkeypatch
+    ):
+        # every batched query runs on the flat kernel, which reads the
+        # label arena directly: its spur counters move and the index's
+        # scalar distance is never called
         queries = make_queries(small_frn, rng, 8, num_targets=3)
         assert engine.kernel == "flat"
-        expected = [engine.query(q) for q in queries]
-        wrapped = MemoizedOracle(engine.oracle)
-        engine.oracle = wrapped
-        try:
-            results = batch_query(engine, queries)
-        finally:
-            engine.oracle = wrapped.wrapped
-        assert wrapped.hits == wrapped.misses == 0  # oracle never touched
+        with engine.kernel_override("scalar"):
+            expected = [engine.query(q) for q in queries]
+        kern = engine._flat_kernel()
+        before = dict(kern.stats)
+
+        def forbidden(self, u, v):
+            raise AssertionError("batch fell back to HierarchyIndex.distance")
+
+        monkeypatch.setattr(HierarchyIndex, "distance", forbidden)
+        results = batch_query(engine, queries)
         assert results == expected  # frozen dataclasses: exact equality
+        assert engine._flat_kernel() is kern
+        assert kern.stats["astar_runs"] > before["astar_runs"]
+        assert kern.stats["heuristic_builds"] > before["heuristic_builds"]
 
 
 class TestParallelBatchQuery:

@@ -5,13 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.bounds import FlowBounds, adaptive_upper_bound, lemma4_bounds
+from repro.core.fpsps import score_candidates
 from repro.core.fspq import FSPQuery, FSPResult
 from repro.errors import QueryError
-from repro.paths.scoring import (
-    NormalizationContext,
-    path_flow,
-    score_candidates,
-)
+from repro.paths.scoring import path_flow
 
 
 class TestLemma4Bounds:
@@ -66,55 +63,52 @@ class TestAdaptiveBound:
 
 
 class TestNormalization:
+    """Eq. 1's normalisation, observed through the one scorer."""
+
     def test_distance_normalization(self):
-        ctx = NormalizationContext(10.0, 30.0, 0.0, 1.0)
-        assert ctx.normalize_distance(10.0) == 0.0
-        assert ctx.normalize_distance(30.0) == 1.0
-        assert ctx.normalize_distance(20.0) == 0.5
+        # equal flows: the flow term is 0, so score = alpha * PDis'
+        _, scores, _ = score_candidates(
+            [10.0, 30.0, 20.0], [1.0, 1.0, 1.0], 10.0, 30.0, alpha=0.5
+        )
+        assert scores.tolist() == [0.0, 0.5, 0.25]
 
     def test_flow_normalization(self):
-        ctx = NormalizationContext(0.0, 1.0, 100.0, 300.0)
-        assert ctx.normalize_flow(100.0) == 0.0
-        assert ctx.normalize_flow(300.0) == 1.0
+        # distances at SPDis: the distance term is 0
+        _, scores, _ = score_candidates(
+            [5.0, 5.0], [100.0, 300.0], 5.0, 15.0, alpha=0.5
+        )
+        assert scores.tolist() == [0.0, 0.5]
 
     def test_degenerate_ranges_contribute_zero(self):
-        ctx = NormalizationContext(5.0, 5.0, 7.0, 7.0)
-        assert ctx.normalize_distance(5.0) == 0.0
-        assert ctx.normalize_flow(7.0) == 0.0
+        _, scores, _ = score_candidates(
+            [5.0, 5.0], [7.0, 7.0], 5.0, 5.0, alpha=0.5
+        )
+        assert scores.tolist() == [0.0, 0.0]
 
 
 class TestScoring:
     def test_blend(self):
-        ctx = NormalizationContext(0.0, 10.0, 0.0, 10.0)
-        scored = score_candidates(
-            [[0, 1], [0, 2]], [10.0, 0.0], [0.0, 10.0], alpha=0.3, context=ctx
+        best, scores, pruned = score_candidates(
+            [10.0, 0.0], [0.0, 10.0], 0.0, 10.0, alpha=0.3
         )
         # first candidate: distance'=1, flow'=0 -> 0.3; second: 0.7
-        assert scored[0].path == (0, 1)
-        assert scored[0].score == pytest.approx(0.3)
-        assert scored[1].score == pytest.approx(0.7)
+        assert best == 0
+        assert scores[0] == pytest.approx(0.3)
+        assert scores[1] == pytest.approx(0.7)
+        assert pruned == 0
 
     def test_sorted_with_tiebreak(self):
-        ctx = NormalizationContext(0.0, 10.0, 0.0, 10.0)
-        scored = score_candidates(
-            [[0], [1]], [5.0, 5.0], [5.0, 5.0], alpha=0.5, context=ctx
+        # candidates 0 and 1 tie on score; the shorter one (1) wins
+        best, scores, _ = score_candidates(
+            [4.0, 2.0, 10.0], [0.0, 2.0, 10.0], 0.0, 10.0, alpha=0.5
         )
-        assert scored[0].score == scored[1].score
-        assert scored[0].distance <= scored[1].distance
-
-    def test_skips_infinite_distances(self):
-        ctx = NormalizationContext(0.0, 10.0, 0.0, 10.0)
-        scored = score_candidates(
-            [[0], [1]], [float("inf"), 5.0], [5.0, 5.0], alpha=0.5, context=ctx
+        assert scores[0] == scores[1]
+        assert best == 1
+        # a full (score, distance, flow) tie keeps the first candidate
+        best, _, _ = score_candidates(
+            [3.0, 3.0], [1.0, 1.0], 0.0, 10.0, alpha=0.5
         )
-        assert len(scored) == 1
-
-    def test_validates_alpha_and_lengths(self):
-        ctx = NormalizationContext(0.0, 1.0, 0.0, 1.0)
-        with pytest.raises(QueryError):
-            score_candidates([[0]], [1.0], [1.0], alpha=0.0, context=ctx)
-        with pytest.raises(QueryError):
-            score_candidates([[0]], [1.0, 2.0], [1.0], alpha=0.5, context=ctx)
+        assert best == 0
 
     def test_path_flow(self):
         import numpy as np

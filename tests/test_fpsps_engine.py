@@ -75,6 +75,18 @@ class TestEngineBasics:
         result = engine.query(FSPQuery(0, 3, 0))
         assert result.shortest_distance == 2.0
 
+    @pytest.mark.parametrize("pruning", ["none", "lemma4"])
+    def test_exhaustive_is_uncapped_and_eager(self, small_frn, pruning):
+        # the exhaustive reference (test_property_fspq builds it with the
+        # default cap) keeps every MCPDis path: no cap, no lazy stop
+        engine = FlowAwareEngine(
+            small_frn, exhaustive=True, max_candidates=4, pruning=pruning
+        )
+        result = engine.query(FSPQuery(0, 14, 0))
+        assert result.num_candidates > engine.max_candidates
+        assert result.truncated is False
+        assert result.early_stopped is False
+
     def test_validates_parameters(self, diamond_frn):
         with pytest.raises(QueryError):
             FlowAwareEngine(diamond_frn, alpha=0.0)

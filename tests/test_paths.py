@@ -18,7 +18,6 @@ from repro.paths.astar_search import (
 )
 from repro.paths.candidates import (
     enumerate_all_paths_within,
-    generate_candidates,
     heuristic_for,
     path_distance,
 )
@@ -141,8 +140,9 @@ class TestCandidates:
             if s == t:
                 continue
             bound = index.distance(s, t) * 1.4
-            yen = generate_candidates(small_grid, s, t, bound, oracle=index,
-                                      max_candidates=10_000)
+            yen = k_shortest_paths(small_grid, s, t,
+                                   heuristic_for(small_grid, index, t),
+                                   max_distance=bound, max_paths=10_000)
             brute = enumerate_all_paths_within(small_grid, s, t, bound)
             assert sorted(map(tuple, yen.paths)) == sorted(map(tuple, brute.paths))
 

@@ -250,6 +250,41 @@ class TestExplain:
             assert explain.score == expected.score, kernel
             assert explain.path == expected.path, kernel
 
+    def test_explain_capture_is_context_local(self, registry, monkeypatch):
+        # thread A's explain is parked mid-evaluation while thread B serves
+        # a query: B's metrics must reach the process registry, not A's
+        # private capture
+        frn = _frn(side=6, seed=42)
+        engine = FlowAwareEngine(frn, oracle=FAHLIndex.from_frn(frn))
+        inside = threading.Event()
+        release = threading.Event()
+        evaluate = engine._query_impl
+
+        def parked(query):
+            if threading.current_thread().name == "explainer":
+                inside.set()
+                assert release.wait(10)
+            return evaluate(query)
+
+        monkeypatch.setattr(engine, "_query_impl", parked)
+        explained = []
+        explainer = threading.Thread(
+            target=lambda: explained.append(engine.explain(0, 35)),
+            name="explainer",
+        )
+        explainer.start()
+        try:
+            assert inside.wait(10)
+            served = engine.query(FSPQuery(1, 34, 0))
+        finally:
+            release.set()
+            explainer.join(10)
+        assert served.path[0] == 1
+        assert explained and explained[0].path[0] == 0
+        snapshot = registry.snapshot()
+        assert snapshot["repro_queries_total"]["series"][0]["value"] == 1
+        assert obs.get_registry() is registry
+
     def test_explain_shape_fields(self):
         # a fresh engine: label-scan counters must show cold-path work
         frn = _frn(side=6, seed=42)
