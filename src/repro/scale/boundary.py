@@ -24,11 +24,32 @@ vertex from which it leaves the shard and the last one through which it
 re-enters — the prefix and suffix stay inside their shards, the middle is
 a full-graph path between boundary vertices.
 
+``D`` itself comes from the same two parts TD-G-tree answers with —
+border matrices plus border edges — not from full-graph searches.  The
+*boundary overlay graph* has one vertex per boundary vertex and two kinds
+of edges: within each shard ``k``, ``b -> b'`` weighted ``d_k(b, b')``
+(the shard's own boundary rows, read off its local table), and every cut
+edge at its live weight on the full graph.  ``D`` is the min-plus closure
+of that graph (Floyd–Warshall, one vectorised ``np.minimum`` per pivot).
+This is exact: split any full-graph shortest path between two boundary
+vertices at its cut edges.  Each piece between two cut edges stays inside
+one shard and both its ends are boundary vertices of that shard, so the
+piece is no shorter than the overlay edge ``d_k(b, b')``; each cut edge is
+an overlay edge at its own weight.  The overlay path is therefore no
+longer than the full-graph one, and every overlay edge is a real
+full-graph path, so it is no shorter either.  The closure costs
+O(|B|^3) vectorised numpy work instead of |B| pure-Python Dijkstras over
+the full graph.
+
 The tables are plain numpy arrays, so the min-plus combines above are
-single vectorised expressions.  ``rebuild_shard`` / ``rebuild_global``
-re-derive them after weight maintenance (a weight change anywhere can
-reroute boundary-to-boundary paths, so the global table is rebuilt on any
-accepted weight update; flow updates never touch distances).
+single vectorised expressions over views of the global table.  After
+weight maintenance, call ``rebuild_shard(k)`` for every shard whose
+in-shard weights changed, *then* ``rebuild_global()``: the closure reads
+the shard-local tables, so they must be current first.  A cut-edge update
+changes no in-shard distance and needs only ``rebuild_global()``.  Every
+accepted weight update rebuilds the global table, since a weight change
+anywhere can reroute boundary-to-boundary paths; flow updates never touch
+distances.
 """
 
 from __future__ import annotations
@@ -49,8 +70,8 @@ class BoundaryIndex:
     Parameters
     ----------
     graph:
-        The full road network (shared with the gateway; reread on
-        :meth:`rebuild_global`).
+        The full road network (shared with the gateway;
+        :meth:`rebuild_global` reads the live cut-edge weights from it).
     plan:
         The shard plan the tables are derived from.
     subgraphs:
@@ -71,12 +92,18 @@ class BoundaryIndex:
         self._boundary_ids: list[int] = [
             v for shard_boundary in plan.boundary for v in shard_boundary
         ]
-        self._rows: list[np.ndarray] = []  # per shard: row indices into the table
+        # per shard: its contiguous range of rows in the table, so every
+        # combine reads a view of the table rather than a copy
+        self._rows: list[slice] = []
         offset = 0
         for shard_boundary in plan.boundary:
-            size = len(shard_boundary)
-            self._rows.append(np.arange(offset, offset + size, dtype=np.int64))
-            offset += size
+            self._rows.append(slice(offset, offset + len(shard_boundary)))
+            offset += len(shard_boundary)
+        # table row of each cut edge's endpoints (both are boundary vertices)
+        row_of = {v: row for row, v in enumerate(self._boundary_ids)}
+        self._cut_rows: list[tuple[int, int, int, int]] = [
+            (u, v, row_of[u], row_of[v]) for u, v, _ in plan.cut_edges
+        ]
         # local boundary ids per shard (position of each boundary vertex in
         # the shard's local numbering — members are sorted, so searchsorted)
         self._local_boundary: list[np.ndarray] = []
@@ -104,15 +131,22 @@ class BoundaryIndex:
         )
 
     def _compute_global(self) -> np.ndarray:
-        """``(|B|, |B|)`` full-graph distances between boundary vertices."""
-        ids = self._boundary_ids
-        if not ids:
-            return np.empty((0, 0), dtype=np.float64)
-        targets = set(ids)
-        columns = np.asarray(ids, dtype=np.int64)
-        return np.vstack(
-            [dijkstra_distances(self._graph, b, targets=targets)[columns] for b in ids]
-        )
+        """``(|B|, |B|)`` full-graph distances between boundary vertices.
+
+        Min-plus closure of the boundary overlay graph (see the module
+        docstring): shard-local boundary rows on the diagonal blocks, live
+        cut-edge weights off them, then Floyd–Warshall.
+        """
+        size = len(self._boundary_ids)
+        table = np.full((size, size), np.inf)
+        for k, rows in enumerate(self._rows):
+            table[rows, rows] = self._local[k][:, self._local_boundary[k]]
+        weight = self._graph.weight
+        for u, v, row_u, row_v in self._cut_rows:
+            table[row_u, row_v] = table[row_v, row_u] = weight(u, v)
+        for m in range(size):
+            np.minimum(table, table[:, m, None] + table[None, m, :], out=table)
+        return table
 
     def _count_rebuild(self, scope: str) -> None:
         registry = obs.get_registry()
@@ -128,7 +162,11 @@ class BoundaryIndex:
         self._count_rebuild("shard")
 
     def rebuild_global(self) -> None:
-        """Recompute the boundary-to-boundary table from the full graph."""
+        """Recompute the boundary-to-boundary table.
+
+        Reads the shard-local tables and the live cut-edge weights, so call
+        :meth:`rebuild_shard` first for every shard whose weights changed.
+        """
         self._table = self._compute_global()
         self._count_rebuild("global")
 
@@ -141,23 +179,21 @@ class BoundaryIndex:
 
     def combine_intra(self, k: int, u_local: int, v_local: int, d_local: float) -> float:
         """Exact same-shard distance given the in-shard distance."""
-        rows = self._rows[k]
-        if len(rows) == 0:
-            return d_local
         du = self._local[k][:, u_local]
+        if len(du) == 0:
+            return d_local
         dv = self._local[k][:, v_local]
-        block = self._table[np.ix_(rows, rows)]
+        block = self._table[self._rows[k], self._rows[k]]
         via = float((du[:, None] + block + dv[None, :]).min())
         return min(d_local, via)
 
     def combine_cross(self, i: int, u_local: int, j: int, v_local: int) -> float:
         """Exact cross-shard distance via the boundary tables."""
-        rows_i, rows_j = self._rows[i], self._rows[j]
-        if len(rows_i) == 0 or len(rows_j) == 0:
-            return float("inf")
         du = self._local[i][:, u_local]
         dv = self._local[j][:, v_local]
-        block = self._table[np.ix_(rows_i, rows_j)]
+        if len(du) == 0 or len(dv) == 0:
+            return float("inf")
+        block = self._table[self._rows[i], self._rows[j]]
         return float((du[:, None] + block + dv[None, :]).min())
 
     @property

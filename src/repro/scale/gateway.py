@@ -895,27 +895,29 @@ class ShardedGateway:
         """Repair degraded shards (all of them when ``shard`` is ``None``).
 
         Each repaired shard's deferred weight updates are folded into the
-        full graph too, then the boundary tables are rebuilt so the
-        combine paths see the recovered weights.  Returns the post-repair
-        audit verdict per repaired shard.
+        full graph too.  Every shard that had such updates gets its local
+        boundary table rebuilt, then the global table is rebuilt once, so
+        the combine paths see the recovered weights.  Returns the
+        post-repair audit verdict per repaired shard.
         """
         targets = [shard] if shard is not None else list(self.degraded_shards)
         verdicts: dict[int, bool] = {}
-        rebuilt = False
+        weights_changed = False
         for k in targets:
             report = self.shards[k].repair()
             verdicts[k] = report.ok
-            for u, v, value in self._deferred_weights[k]:
+            deferred = self._deferred_weights[k]
+            for u, v, value in deferred:
                 self.frn.graph.set_weight(u, v, value)
-                rebuilt = True
-            self._deferred_weights[k].clear()
-            if rebuilt:
+            if deferred:
                 self.boundary.rebuild_shard(k)
+                weights_changed = True
+            deferred.clear()
             self.metrics["repairs"] += 1
             self._count(
                 "repro_gateway_repairs_total", "per-shard repair passes"
             )
-        if rebuilt:
+        if weights_changed:
             self.boundary.rebuild_global()
         if targets:
             self._weight_epoch += 1

@@ -51,8 +51,9 @@ class ShardPlan:
         with at least one edge into a different shard.
     cut_edges:
         Every edge ``(u, v, weight)`` crossing two shards, with ``u < v``.
-        Cut edges belong to no shard subgraph; the gateway maintains them
-        on the full graph.
+        The weights are as partitioned; cut edges belong to no shard
+        subgraph, and the gateway maintains their live weights on the full
+        graph (read them there, e.g. ``graph.weight(u, v)``).
     """
 
     num_shards: int

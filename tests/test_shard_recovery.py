@@ -22,6 +22,8 @@ from repro.graph.generators import grid_network
 from repro.serving import FlowUpdate, WeightUpdate
 from repro.testing import FaultInjector
 
+from .boundary_oracle import assert_boundary_exact
+
 
 def make_frn(seed: int = 3) -> FlowAwareRoadNetwork:
     graph = grid_network(8, 8, seed=seed)
@@ -94,6 +96,61 @@ class TestShardRepair:
     def test_repair_out_of_range_shard_rejected(self, durable_gateway):
         with pytest.raises(QueryError):
             durable_gateway.recover_shard(99)
+
+
+def intra_edges(gateway, shard: int):
+    members = set(gateway._to_global[shard])
+    return [
+        (u, v, w)
+        for u, v, w in gateway.frn.graph.edges()
+        if u in members and v in members
+    ]
+
+
+class TestBoundaryTableAfterRecovery:
+    """The global boundary table stays equal to the Dijkstra oracle."""
+
+    def test_exact_after_repair_with_deferred_weights(self, durable_gateway):
+        gateway = durable_gateway
+        u, v, w = intra_edges(gateway, 2)[0]
+        with FaultInjector() as injector:
+            injector.fail_at("ilu:weight-set", times=-1)
+            outcome = gateway.submit(
+                WeightUpdate(u, v, float(w) * 0.65, timestamp=500.0)
+            )
+        assert outcome.deferred and gateway.degraded_shards == (2,)
+        assert gateway.repair(shard=2) == {2: True}
+        assert gateway.frn.graph.weight(u, v) == float(w) * 0.65
+        assert_boundary_exact(gateway)
+
+    def test_exact_after_recover_shard(self, durable_gateway):
+        gateway = durable_gateway
+        updates = intra_edges(gateway, 1)[:6] + list(gateway.plan.cut_edges[:4])
+        for i, (u, v, w) in enumerate(updates):
+            factor = 0.65 if i % 2 == 0 else 1.5
+            assert gateway.submit(
+                WeightUpdate(u, v, float(w) * factor, timestamp=float(i))
+            ).applied
+        report = gateway.recover_shard(1)
+        assert isinstance(report, RecoveryReport)
+        assert_boundary_exact(gateway)
+
+    def test_exact_after_cold_rebuild(self, durable_gateway):
+        gateway = durable_gateway
+        for i, (u, v, w) in enumerate(intra_edges(gateway, 3)[:4]):
+            assert gateway.submit(
+                WeightUpdate(u, v, float(w) * 0.65, timestamp=float(i))
+            ).applied
+        # the same debris as the hopeless-directory test below
+        root = gateway.shard_durability_dir(3)
+        gateway.shards[3].durability.close()
+        for wal in root.glob("wal-*.log"):
+            wal.unlink()
+        fake = root / "ckpt-00000005"
+        fake.mkdir()
+        (fake / "MANIFEST.json").write_text("{broken")
+        assert gateway.recover_shard(3) is None
+        assert_boundary_exact(gateway)
 
 
 class TestShardRecovery:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import FSPQuery, ShardedGateway, as_distance, build_fahl
+from repro import FSPQuery, ShardedGateway, as_distance, build_fahl, obs
 from repro.core.fpsps import FlowAwareEngine
 from repro.flow.synthetic import generate_flow_series
 from repro.graph.frn import FlowAwareRoadNetwork
@@ -19,6 +19,7 @@ from repro.serving import FlowUpdate, WeightUpdate
 from repro.testing.faults import FaultInjector
 from repro.baselines.dijkstra import dijkstra_distance
 
+from .boundary_oracle import assert_boundary_exact
 from .strategies import connected_graphs
 
 
@@ -34,6 +35,44 @@ def grid_frn():
 @pytest.fixture()
 def gateway(grid_frn):
     return ShardedGateway(grid_frn, num_shards=4, max_retries=0, backoff=0.0)
+
+
+@pytest.fixture()
+def registry():
+    fresh = obs.MetricsRegistry(enabled=True)
+    previous = obs.set_registry(fresh)
+    try:
+        yield fresh
+    finally:
+        obs.set_registry(previous)
+
+
+def _intra_edge(gateway, shard):
+    """Some edge with both ends in ``shard``."""
+    plan = gateway.plan
+    return next(
+        (u, v, w) for u, v, w in gateway.frn.graph.edges()
+        if plan.shard(u) == shard and plan.shard(v) == shard
+    )
+
+
+def _defer_weight(gateway, shard):
+    """Submit an intra-shard weight update whose ILU fails: it is deferred."""
+    u, v, w = _intra_edge(gateway, shard)
+    with FaultInjector() as injector:
+        injector.fail_at("ilu:weight-set", times=-1)
+        outcome = gateway.submit(WeightUpdate(u, v, w * 0.5, timestamp=1.0))
+    assert outcome.deferred
+
+
+def _defer_flow(gateway, shard):
+    """Submit a flow update whose maintenance fails: it is deferred."""
+    with FaultInjector() as injector:
+        injector.fail_at("flow:flow-set", times=-1)
+        outcome = gateway.submit(
+            FlowUpdate(gateway.plan.members[shard][0], 42.0, timestamp=1.0)
+        )
+    assert outcome.deferred
 
 
 class TestPartition:
@@ -224,6 +263,53 @@ class TestMaintenance:
         assert not late.accepted and late.reason == "stale-timestamp"
 
 
+class TestBoundaryTable:
+    """The closure-built global table equals the full-graph Dijkstra one."""
+
+    def test_exact_after_construction(self, gateway):
+        assert_boundary_exact(gateway)
+
+    def test_exact_after_intra_shard_weight_update(self, gateway):
+        u, v, w = _intra_edge(gateway, 0)
+        outcome = gateway.submit(WeightUpdate(u, v, w * 0.65, timestamp=1.0))
+        assert outcome.applied and outcome.strategy == "ilu"
+        assert_boundary_exact(gateway)
+
+    def test_exact_after_cut_edge_weight_update(self, gateway):
+        graph = gateway.frn.graph
+        for i, (u, v, _) in enumerate(gateway.plan.cut_edges):
+            factor = 0.65 if i % 2 == 0 else 1.5
+            outcome = gateway.submit(
+                WeightUpdate(u, v, graph.weight(u, v) * factor, timestamp=1.0)
+            )
+            assert outcome.applied and outcome.strategy == "cut-edge"
+        assert_boundary_exact(gateway)
+
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_interleaved_weight_updates_keep_table_exact(self, data):
+        frn = _frn(grid_network(8, 8, seed=3))
+        gateway = ShardedGateway(frn, num_shards=4, max_retries=0, backoff=0.0)
+        graph, plan = frn.graph, gateway.plan
+        edges = {
+            "intra": [
+                (u, v) for u, v, _ in graph.edges()
+                if plan.shard(u) == plan.shard(v)
+            ],
+            "cut": [(u, v) for u, v, _ in plan.cut_edges],
+        }
+        for step in range(data.draw(st.integers(1, 6))):
+            kind = data.draw(st.sampled_from(sorted(edges)))
+            u, v = data.draw(st.sampled_from(edges[kind]))
+            factor = data.draw(st.floats(0.65, 1.5))
+            outcome = gateway.submit(
+                WeightUpdate(u, v, graph.weight(u, v) * factor,
+                             timestamp=float(step))
+            )
+            assert outcome.applied
+            assert_boundary_exact(gateway, pairs=12)
+
+
 class TestDegradedIsolation:
     def test_poisoned_shard_does_not_degrade_the_rest(self, gateway):
         plan = gateway.plan
@@ -257,6 +343,23 @@ class TestDegradedIsolation:
         assert gateway.degraded_shards == ()
         result = gateway.query(FSPQuery(victim, gateway.plan.members[2][0], 0))
         assert result.source in ("shard", "boundary")
+
+    @pytest.mark.parametrize("weight_shard", [1, 2])
+    def test_repair_rebuilds_only_shards_whose_weights_changed(
+        self, gateway, registry, weight_shard
+    ):
+        # shards 1 and 2 both degrade; only one has a deferred weight update
+        for shard in (1, 2):
+            if shard == weight_shard:
+                _defer_weight(gateway, shard)
+            else:
+                _defer_flow(gateway, shard)
+        assert gateway.degraded_shards == (1, 2)
+        rebuilds = registry.counter("repro_gateway_boundary_rebuilds_total")
+        assert gateway.repair() == {1: True, 2: True}
+        assert rebuilds.value(scope="shard") == 1
+        assert rebuilds.value(scope="global") == 1
+        assert_boundary_exact(gateway)
 
 
 class TestStatus:
