@@ -4,14 +4,18 @@ Simulates a serving timeline of FSPQ queries with bursts of edge-weight
 updates landing between them (a flow interval re-weights several edges at
 once), replayed identically through three arms:
 
-* ``baseline`` — the query stream with every update dropped: the pure
-  FSPQ latency floor with no maintenance at all.
-* ``inline``   — ``update_mode="inline"``: each burst runs ILU label
-  maintenance synchronously.  In-place repair mutates the very labels
-  queries read, so a reader cannot overlap it; the burst's wall time is
-  charged to the next query's latency (the head-of-line stall the overlay
-  exists to remove).
-* ``overlay``  — ``update_mode="overlay"``: updates are absorbed into the
+* ``baseline`` — the query stream through a
+  :class:`~repro.serving.ResilientEngine` with every update dropped: the
+  pure FSPQ latency floor with no maintenance at all.
+* ``inline``   — the paper's model: a plain :class:`~repro.core.fahl.FAHLIndex`
+  behind a :class:`~repro.core.fpsps.FlowAwareEngine`, each update running
+  ILU (:func:`repro.core.maintenance.apply_weight_update`) on the serving
+  labels synchronously.  In-place repair mutates the very labels queries
+  read, so a reader cannot overlap it; the burst's wall time is charged
+  to the next query's latency (the head-of-line stall the overlay exists
+  to remove).
+* ``overlay``  — the :class:`~repro.serving.ResilientEngine` update path:
+  updates are absorbed into the
   :class:`~repro.core.overlay.DeltaOverlay` and consolidation advances in
   :meth:`~repro.serving.ResilientEngine.maintenance_tick` steps between
   operations.  Absorbs and ticks touch only overlay-private state and the
@@ -53,7 +57,9 @@ except ModuleNotFoundError:  # run as a script: benchmarks/ is sys.path[0]
 from repro import obs
 from repro.baselines.dijkstra import dijkstra_distance
 from repro.core.fahl import FAHLIndex
+from repro.core.fpsps import FlowAwareEngine
 from repro.core.fspq import FSPQuery
+from repro.core.maintenance import apply_weight_update
 from repro.obs.latency import LatencyRecorder, latency_summary
 from repro.serving import ResilientEngine, WeightUpdate
 from repro.workloads.datasets import load_dataset
@@ -105,17 +111,21 @@ def run_arm(mode: str, dataset_args: dict, ops, overlay_capacity: int = 96):
     build_start = time.perf_counter()
     index = FAHLIndex.from_frn(frn)
     build_seconds = time.perf_counter() - build_start
-    engine = ResilientEngine(
-        frn,
-        index=index,
-        update_mode="inline" if mode != "overlay" else "overlay",
-        overlay_capacity=overlay_capacity,
-        max_retries=1,
-    )
+    if mode == "inline":
+        engine = FlowAwareEngine(frn, oracle=index, alpha=0.5, eta_u=3.0)
+        ask = engine.query
+    else:
+        engine = ResilientEngine(
+            frn, index=index, overlay_capacity=overlay_capacity, max_retries=1
+        )
+
+        def ask(query):
+            return engine.query(query).result
+
     # Warm the engine on one query so one-off setup (flat-kernel arena and
     # adjacency builds) stays out of the percentiles, like a live server.
     first = next(op for op in ops if op[0] == "query")
-    engine.query(FSPQuery(first[1], first[2], first[3]))
+    ask(FSPQuery(first[1], first[2], first[3]))
 
     recorder = LatencyRecorder()
     carried_stall = 0.0  # inline head-of-line blocking, charged to next query
@@ -128,24 +138,27 @@ def run_arm(mode: str, dataset_args: dict, ops, overlay_capacity: int = 96):
         if op[0] == "update":
             if mode == "baseline":
                 continue
-            timestamp += 1.0
-            update = WeightUpdate(op[1], op[2], op[3], timestamp=timestamp)
-            start = time.perf_counter()
-            outcome = engine.submit(update)
-            elapsed = time.perf_counter() - start
-            assert outcome.applied, f"update rejected: {outcome.reason}"
             if mode == "inline":
                 # in-place ILU excludes readers for its whole duration
+                start = time.perf_counter()
+                apply_weight_update(index, op[1], op[2], op[3])
+                engine.invalidate()
+                elapsed = time.perf_counter() - start
                 carried_stall += elapsed
                 maintenance_seconds += elapsed
             else:
                 # the absorb runs on the update plane; queries keep reading
                 # the previously published overlay version meanwhile
-                absorb_seconds += elapsed
+                timestamp += 1.0
+                update = WeightUpdate(op[1], op[2], op[3], timestamp=timestamp)
+                start = time.perf_counter()
+                outcome = engine.submit(update)
+                absorb_seconds += time.perf_counter() - start
+                assert outcome.applied, f"update rejected: {outcome.reason}"
         else:
             _, s, t, step = op
             start = time.perf_counter()
-            result = engine.query(FSPQuery(s, t, step)).result
+            result = ask(FSPQuery(s, t, step))
             recorder.observe(time.perf_counter() - start + carried_stall)
             carried_stall = 0.0
             if mode == "overlay":
@@ -160,7 +173,8 @@ def run_arm(mode: str, dataset_args: dict, ops, overlay_capacity: int = 96):
                 engine.maintenance_tick(steps=1)
                 background_seconds += time.perf_counter() - start
 
-    assert engine.status().state == "healthy", engine.status().state
+    if mode != "inline":
+        assert not engine.degraded, engine.status().state
     stats: dict = {
         "mode": mode,
         "index_build_seconds": round(build_seconds, 4),
@@ -267,7 +281,9 @@ def main(argv=None) -> int:
             "tiny": bool(args.tiny),
             "latency_model": (
                 "single-threaded timeline of FSPQ queries; inline ILU "
-                "mutates the serving labels in place so its wall time is "
+                "(apply_weight_update on a plain FAHLIndex behind a "
+                "FlowAwareEngine) mutates the serving labels in place so "
+                "its wall time is "
                 "charged to the next query (reader exclusion); overlay "
                 "absorbs and consolidation ticks touch only overlay-private "
                 "state and the back buffer, modelling the update plane, and "

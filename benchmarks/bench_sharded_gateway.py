@@ -85,8 +85,7 @@ def main(argv=None) -> dict:
                            pruning="none")
 
     start = time.perf_counter()
-    gateway = ShardedGateway(frn, num_shards=args.shards,
-                             max_retries=0, backoff=0.0)
+    gateway = ShardedGateway(frn, num_shards=args.shards, max_retries=0)
     gateway_build_seconds = time.perf_counter() - start
 
     start = time.perf_counter()

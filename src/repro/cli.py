@@ -733,8 +733,7 @@ def _run_recover(args: argparse.Namespace) -> int:
           f"{len(engine.dead_letters)} queued")
     if report.torn_bytes:
         print(f"  torn tail repaired: {report.torn_bytes} bytes truncated")
-    print(f"  engine state:      {engine.state} "
-          f"({len(engine._deferred)} deferred)")
+    print(f"  engine state:      {engine.state}")
     print(f"  recovery time:     {report.duration_seconds:.3f}s")
     if args.audit:
         verdict = engine.audit()

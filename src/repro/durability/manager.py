@@ -7,7 +7,7 @@ so a sharded deployment gives every shard its own)::
       wal-00000000.log      generation-0 log (before any checkpoint)
       ckpt-00000001/        checkpoint generation 1
         index.npz           the serving index (.npz format v2, checksummed)
-        state.json          overlay / DLQ / deferred / timestamp state
+        state.json          overlay / DLQ / pending-flow / timestamp state
         MANIFEST.json       written last, atomically (tmp + rename)
       wal-00000001.log      records accepted *after* checkpoint 1
       ...
@@ -70,30 +70,25 @@ def engine_state(engine) -> dict:
     """Everything a :class:`ResilientEngine` holds outside its index.
 
     The index itself (labels + graph) goes to ``index.npz``; this JSON
-    document captures the serving wrapper: admission timestamps, deferred
-    updates, the dead-letter queue, pending flows and — crucially — the
+    document captures the serving wrapper: admission timestamps, the
+    dead-letter queue, pending flows and — crucially — the
     overlay's ``(stable, current)`` weight pairs, because ``index.npz``
     stores the *live* graph weights while the labels assume the *stable*
     ones.  Recovery rewinds the graph to stable and re-absorbs.
     """
-    overlay = []
-    if engine.overlay is not None:
-        overlay = [
-            [e.u, e.v, e.stable, e.current]
-            for e in engine.overlay.edges.values()
-        ]
     return {
         "format": _STATE_FORMAT,
-        "update_mode": engine.update_mode,
         "state": engine.state,
         "index_checksum": engine.index.checksum(),
         "last_ts": [[list(key), ts] for key, ts in engine._last_ts.items()],
-        "deferred": [encode_update(u) for u in engine._deferred],
         "pending_flows": {
             str(vertex): value
             for vertex, value in engine._pending_flows.items()
         },
-        "overlay": overlay,
+        "overlay": [
+            [e.u, e.v, e.stable, e.current]
+            for e in engine.overlay.edges.values()
+        ],
         "dead_letters": {
             "capacity": engine.dead_letters._letters.maxlen,
             "total_seen": engine.dead_letters.total_seen,
@@ -205,11 +200,8 @@ class Durability:
         self._sync_lag_gauge()
         return seq
 
-    def log_outcome(
-        self, ref: int, applied: bool, strategy: str | None,
-        detail: str | None = None,
-    ) -> int:
-        return self.wal.append(outcome_record(ref, applied, strategy, detail))
+    def log_outcome(self, ref: int, strategy: str) -> int:
+        return self.wal.append(outcome_record(ref, strategy))
 
     def log_dlq(self, update, reason: str, detail: str) -> int:
         return self.wal.append(dlq_record(update, reason, detail))

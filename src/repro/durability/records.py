@@ -4,13 +4,16 @@ Four record types cover everything the serving layer acknowledges:
 
 ``update``
     An accepted :class:`~repro.serving.updates.WeightUpdate` or
-    :class:`~repro.serving.updates.FlowUpdate`, appended *before* the
-    maintenance attempt (and therefore before the ack).
+    :class:`~repro.serving.updates.FlowUpdate`, appended *before* it is
+    absorbed (and therefore before the ack).
 ``outcome``
-    What happened to a previously logged update (``ref`` is its WAL
-    sequence number): applied with some strategy, or deferred to the next
-    repair.  An ``update`` with no ``outcome`` in the log means the crash
-    raced the attempt — recovery re-submits it through the full machinery.
+    A previously logged update (``ref`` is its WAL sequence number) went
+    live with ``strategy`` ``"overlay"`` (weights) or ``"overlay-queued"``
+    (flows).  Logs written before overlay became the only update path
+    also carry ``"ilu"``/``"isu"``/``"gsu"`` and ``applied: false``
+    (deferred) outcomes; recovery replays those through the overlay too.
+    An ``update`` with no ``outcome`` in the log means the crash raced the
+    ack — recovery re-submits it through the full machinery.
 ``dlq``
     A dead-letter push that replay cannot re-derive (admission rejects,
     consolidation-failure notes).  ``update`` may be ``None``.
@@ -84,14 +87,9 @@ def update_record(update: FlowUpdate | WeightUpdate) -> dict:
     return {"type": "update", "update": encode_update(update)}
 
 
-def outcome_record(
-    ref: int, applied: bool, strategy: str | None, detail: str | None = None
-) -> dict:
-    record = {"type": "outcome", "ref": ref, "applied": applied,
-              "strategy": strategy}
-    if detail is not None:
-        record["detail"] = detail
-    return record
+def outcome_record(ref: int, strategy: str) -> dict:
+    return {"type": "outcome", "ref": ref, "applied": True,
+            "strategy": strategy}
 
 
 def dlq_record(

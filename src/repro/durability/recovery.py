@@ -15,20 +15,25 @@ Strategy
    generation remains).
 2. Restore the engine around the checkpoint: rewind the graph to the
    overlay's *stable* weights, re-absorb the overlay deltas, restore
-   admission timestamps, deferred updates, pending flows and the DLQ.
+   admission timestamps, pending flows and the DLQ.
 3. Replay the WAL tail(s) — every log from the recovered generation up to
-   the newest — through the ordinary maintenance/overlay machinery:
-   ``outcome`` records route each logged update exactly where it went
-   live (applied with its recorded strategy, or deferred); updates whose
-   outcome never reached the log (the crash raced the ack) are re-run
-   through the full :meth:`~repro.serving.engine.ResilientEngine.submit`
-   machinery; ``dlq`` records re-materialise quarantined letters.
+   the newest — through the overlay: every update with a logged
+   ``outcome`` is absorbed again; updates whose outcome never reached the
+   log (the crash raced the ack) are re-run through the full
+   :meth:`~repro.serving.engine.ResilientEngine.submit` machinery;
+   ``dlq`` records re-materialise quarantined letters.
 4. If *no* checkpoint generation survives but the complete log history
    does (typically: the engine crashed before its first checkpoint),
    rebuild the index cold from the caller's FRN and replay everything.
    Otherwise raise :class:`~repro.errors.RecoveryError` — losing
    acknowledged updates silently is the one thing this module must never
    do.
+
+Directories written while the engine still had an inline update path
+recover the same way: their checkpoint's ``update_mode`` is ignored, its
+``deferred`` updates are absorbed once the state is restored, and their
+``ilu``/``isu``/``gsu`` and ``applied: false`` outcomes replay through
+the overlay like any other acknowledged update.
 """
 
 from __future__ import annotations
@@ -45,15 +50,10 @@ from repro.durability.crashpoints import crash_point
 from repro.durability.manager import MANIFEST, Durability, _file_digest
 from repro.durability.records import decode_update
 from repro.durability.wal import scan_and_repair
-from repro.errors import (
-    IndexIntegrityError,
-    MaintenanceError,
-    RecoveryError,
-    ReproError,
-)
+from repro.errors import IndexIntegrityError, RecoveryError, ReproError
 from repro.graph.frn import FlowAwareRoadNetwork
 from repro.labeling.serialize import load_index
-from repro.serving.engine import DEGRADED, ResilientEngine
+from repro.serving.engine import ResilientEngine
 from repro.serving.updates import DeadLetter
 
 __all__ = ["RecoveryReport", "recover"]
@@ -129,7 +129,6 @@ def _verify_generation(
 def _restore_engine_state(engine: ResilientEngine, state: dict) -> None:
     """Install the checkpointed wrapper state on a fresh engine."""
     engine._last_ts = {tuple(key): ts for key, ts in state["last_ts"]}
-    engine._deferred = [decode_update(item) for item in state["deferred"]]
     engine._pending_flows = {
         int(vertex): value for vertex, value in state["pending_flows"].items()
     }
@@ -148,56 +147,10 @@ def _restore_engine_state(engine: ResilientEngine, state: dict) -> None:
     engine.dead_letters._sequence = int(letters["total_seen"])
     engine.metrics = Counter(state["metrics"])
     engine.state = state["state"]
-
-
-def _replay_outcome(engine: ResilientEngine, update, record: dict) -> None:
-    """Route one logged update exactly where its recorded outcome went."""
-    engine._last_ts[update.key] = update.timestamp
-    if not record.get("applied", False):
-        # live, every maintenance attempt failed and the update was parked
-        engine._deferred.append(update)
-        engine._set_state(DEGRADED)
-        engine.metrics["updates_deferred"] += 1
-        engine.dead_letters.push(
-            update,
-            "maintenance-failed",
-            record.get("detail") or "deferred update recovered from the WAL",
-        )
-        return
-    strategy = record.get("strategy")
-    if strategy in ("overlay", "overlay-queued"):
-        engine._submit_overlay(update)
-        return
-    try:
-        engine._apply(update, strategy or "ilu")
-    except MaintenanceError as exc:
-        # it applied live but not here (should not happen — replay is
-        # deterministic); degrade honestly rather than serve wrong answers
-        engine._defer(update, attempts=1, error=exc)
-        return
-    engine.metrics["updates_accepted"] += 1
-    engine.invalidate()
-
-
-def _sniff_update_mode(durability: Durability) -> str:
-    """Infer the crashed engine's update mode from its WAL outcomes.
-
-    Only needed on a cold rebuild: the mode normally rides in checkpoint
-    state, but an engine that crashed before its first checkpoint completed
-    never persisted it.  Any overlay strategy in the log is proof the
-    engine was running in overlay mode; a log with none replays
-    identically under inline.
-    """
-    for generation in range(durability.generation + 1):
-        if generation == durability.generation:
-            records = durability.wal.recovered_records
-        else:
-            records, _ = scan_and_repair(durability.wal_path(generation))
-        for record in records:
-            strategy = record.get("strategy")
-            if strategy and strategy.startswith("overlay"):
-                return "overlay"
-    return "inline"
+    # an inline-mode checkpoint parked updates whose maintenance failed
+    # for the next repair; absorbing them keeps every acknowledged one
+    for item in state.get("deferred", ()):
+        engine._submit_overlay(decode_update(item))
 
 
 def recover(
@@ -228,8 +181,7 @@ def recover(
         second crash recovers fast and the replayed log is retired.
     engine_kwargs:
         Forwarded to :class:`ResilientEngine` (``alpha``, ``kernel``,
-        ``time_budget``, ...).  ``update_mode`` is taken from the
-        checkpoint when one is restored.
+        ``max_retries``, ...).
 
     Returns the recovered engine with a fresh durability manager attached
     and the :class:`RecoveryReport` available as ``engine.last_recovery``.
@@ -277,8 +229,6 @@ def recover(
         recovered_frn = FlowAwareRoadNetwork(
             graph, frn.flow, frn.predicted_flow, frn.lanes
         )
-        engine_kwargs = dict(engine_kwargs)
-        engine_kwargs["update_mode"] = state["update_mode"]
         engine = ResilientEngine(
             recovered_frn, index=index, durability=durability, **engine_kwargs
         )
@@ -301,8 +251,6 @@ def recover(
                 f"history is incomplete (missing generations {missing}) — "
                 "acknowledged updates would be lost"
             )
-        engine_kwargs = dict(engine_kwargs)
-        engine_kwargs.setdefault("update_mode", _sniff_update_mode(durability))
         engine = ResilientEngine(frn, durability=durability, **engine_kwargs)
         engine._replaying = True
         replay_generations = range(durability.generation + 1)
@@ -328,7 +276,8 @@ def recover(
             elif kind == "outcome":
                 update = pending.pop(int(record["ref"]), None)
                 if update is not None:
-                    _replay_outcome(engine, update, record)
+                    engine._last_ts[update.key] = update.timestamp
+                    engine._submit_overlay(update)
                     replayed += 1
             elif kind == "dlq":
                 update = decode_update(record["update"])

@@ -14,8 +14,8 @@ FPSPS / FSPQ query      ``repro_query_seconds``, ``repro_queries_total``,
 maintenance             ``repro_maintenance_seconds{op=ilu|isu|gsu|noop}``,
                         ``repro_maintenance_rollbacks_total``,
                         affected-label / bags-rebuilt counters
-serving                 ``repro_serving_updates_total{outcome}``, retry /
-                        escalation / audit counters,
+serving                 ``repro_serving_updates_total{outcome}``,
+                        consolidation / repair / audit counters,
                         ``repro_serving_dead_letter_depth`` gauge
 batch pool              ``repro_batch_chunk_seconds``,
                         ``repro_batch_worker_recoveries_total``, fallbacks

@@ -3,9 +3,10 @@
 ``run_demo`` builds a FAHL index over a synthetic grid FRN (build-phase
 metrics), answers an FSPQ workload through both the serving engine and the
 batch path (query + batch metrics, including the Lemma-4 pruning
-counters), streams accepted/corrupt/failing updates through the resilient
-serving layer (maintenance + admission + rollback metrics) and returns a
-tiny summary.  The CLI (``fahl-repro obs report``) and the CI telemetry
+counters), streams accepted and corrupt updates through the resilient
+serving layer and consolidates them, one attempt failing on purpose
+(maintenance + admission + consolidation metrics), and returns a tiny
+summary.  The CLI (``fahl-repro obs report``) and the CI telemetry
 job both run exactly this, so the exported Prometheus text always covers
 the full metric catalogue of ``docs/OBSERVABILITY.md``.
 """
@@ -37,13 +38,13 @@ def run_demo(
     Telemetry lands on the *active* registry/tracer — callers enable or
     swap them first (the CLI installs a fresh enabled registry).
     """
-    from repro.testing.faults import FaultInjector  # deterministic rollback demo
+    from repro.testing.faults import FaultInjector  # deterministic failure demo
 
     graph = grid_network(side, side, seed=seed)
     flow = generate_flow_series(graph, days=1, seed=seed + 1)
     frn = FlowAwareRoadNetwork(graph, flow)
     serving = ResilientEngine(
-        frn, pruning="lemma4", max_retries=1, backoff=0.0, audit_samples=8
+        frn, pruning="lemma4", max_retries=1, audit_samples=8
     )
     n = frn.num_vertices
     t_max = frn.num_timesteps
@@ -59,18 +60,19 @@ def run_demo(
     report = BatchReport()
     batch_query(serving._engine, workload, workers=workers, report=report)
 
-    # -- maintenance: ILU (weight), ISU/GSU (flow), one rollback --------
+    # -- maintenance: absorb, then ILU (weight) + ISU (flow) on the back
+    # buffer; the first consolidation attempt fails on purpose (counted
+    # and dead-lettered), the retry commits the swap
     edges = list(graph.edges())[: max(1, updates // 2)]
     for i, (u, v, w) in enumerate(edges):
         serving.submit(WeightUpdate(u, v, max(1.0, w * (1.25 + 0.1 * i))))
     for i in range(max(1, updates - len(edges))):
         vertex = (11 * i + 1) % n
         serving.submit(FlowUpdate(vertex, 50.0 + 10.0 * i, timestamp=float(i)))
-    # a transient maintenance fault: first attempt rolls back (counted),
-    # the retry applies — the demo's rollback/retry metrics are real.
     with FaultInjector() as injector:
-        injector.fail_at("flow:flow-set", times=1)
-        serving.submit(FlowUpdate(0, 123.0, timestamp=99.0))
+        injector.fail_at("consolidate:weights-folded", times=1)
+        serving.maintenance_tick(steps=16)
+    serving.consolidate()
 
     # -- admission control: corrupt updates are quarantined -------------
     serving.submit(FlowUpdate(1, math.nan, timestamp=100.0))

@@ -164,9 +164,8 @@ def render_report(registry: MetricsRegistry) -> str:
                 [f"quarantined [{dict(key).get('reason', '')}]", value]
             )
     for name, title in (
-        ("repro_serving_retries_total", "retries"),
-        ("repro_serving_escalations_total", "ISU->GSU escalations"),
-        ("repro_serving_budget_exhausted_total", "budget exhausted"),
+        ("repro_serving_consolidations_total", "consolidations"),
+        ("repro_serving_consolidation_failures_total", "consolidation failures"),
         ("repro_serving_repairs_total", "repairs"),
         ("repro_serving_degraded_transitions_total", "degraded transitions"),
     ):
@@ -186,9 +185,6 @@ def render_report(registry: MetricsRegistry) -> str:
     dlq = get("repro_serving_dead_letter_depth")
     if isinstance(dlq, Gauge) and dlq.samples():
         serving_rows.append(["dead-letter depth (gauge)", dlq.value()])
-    deferred = get("repro_serving_deferred_depth")
-    if isinstance(deferred, Gauge) and deferred.samples():
-        serving_rows.append(["deferred updates (gauge)", deferred.value()])
     if serving_rows:
         sections.append(_table("serving engine", ["counter", "value"], serving_rows))
     serving_latency = get("repro_serving_query_seconds")

@@ -15,13 +15,12 @@ A lookup whose recorded epochs no longer match the current ones simply
 drops the entry — stale results die lazily, O(1) per touch, without any
 scan.  Eviction is LRU via :class:`collections.OrderedDict`.
 
-Overlay-mode serving rides the same machinery with no cache changes: an
-overlay **absorb** fires the shard's invalidation hook (epoch bump — the
-answer changed even though the labels did not), and the background
-consolidation's atomic **swap** fires it again through the engine's full
-``invalidate()``.  Entries computed against any pre-swap
-``stable ⊕ overlay`` pair therefore self-invalidate exactly like inline
-maintenance, and a query can never read a result cached under a
+Overlay serving rides the same machinery: an overlay **absorb** fires the
+shard's invalidation hook (epoch bump — the answer changed even though
+the labels did not), and the background consolidation's atomic **swap**
+fires it again through the engine's full ``invalidate()``.  Entries
+computed against any pre-swap ``stable ⊕ overlay`` pair therefore
+self-invalidate, and a query can never read a result cached under a
 half-consolidated state — the swap is a single epoch transition.
 """
 

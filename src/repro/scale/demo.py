@@ -35,9 +35,7 @@ def run_sharded_demo(
     rng = random.Random(seed)
     graph = grid_network(side, side, seed=seed)
     frn = FlowAwareRoadNetwork(graph, generate_flow_series(graph, days=1, seed=seed))
-    gateway = ShardedGateway(
-        frn, num_shards=shards, max_retries=1, backoff=0.0
-    )
+    gateway = ShardedGateway(frn, num_shards=shards, max_retries=1)
 
     n, steps = frn.num_vertices, frn.num_timesteps
     unique = []

@@ -12,7 +12,7 @@ boundary distance tables of :mod:`repro.scale.boundary`:
   (``route="shard"``); everything else is answered through the
   boundary-table combine (``route="boundary"``), which is exact for any
   endpoint pair.
-* **degraded isolation** — a shard whose maintenance is poisoned degrades
+* **degraded isolation** — a shard that fails its audit degrades
   *alone*: queries touching it fall back to direct Dijkstra/A* on the full
   graph (``route="fallback"``) while the remaining shards keep serving
   from their indexes.
@@ -129,14 +129,13 @@ class ShardedGateway:
         own, as their oracles are not hierarchy indexes).
     engine_kwargs:
         Extra keyword arguments forwarded to every per-shard
-        :class:`~repro.serving.engine.ResilientEngine` (``time_budget``,
-        ``max_retries``, ``audit_samples``, ...).  Pass
-        ``update_mode="overlay"`` for non-blocking continuous updates:
-        each shard then serves ``stable ⊕ overlay`` and consolidates in
-        the background via :meth:`maintenance_tick` /
-        :meth:`consolidate`, swapping its index per shard while the
-        others keep serving; the routing and distance paths read the
-        shard *oracles*, so answers stay exact throughout.
+        :class:`~repro.serving.engine.ResilientEngine` (``max_retries``,
+        ``audit_samples``, ``overlay_capacity``, ...).  Every shard
+        serves ``stable ⊕ overlay`` and consolidates in the background
+        via :meth:`maintenance_tick` / :meth:`consolidate`, swapping its
+        index per shard while the others keep serving; the routing and
+        distance paths read the shard *oracles*, so answers stay exact
+        throughout.
     durability_dir:
         When set, every shard gets its own
         :class:`~repro.durability.Durability` manager rooted at
@@ -226,9 +225,6 @@ class ShardedGateway:
         # -- gateway-level admission state (cut edges live in no shard) -
         self.dead_letters = DeadLetterQueue(dead_letter_capacity)
         self._last_ts: dict[tuple, float] = {}
-        self._deferred_weights: list[list[tuple[int, int, float]]] = [
-            [] for _ in range(self.plan.num_shards)
-        ]
         self.metrics: Counter[str] = Counter()
         self._cut_edge_set = {
             (u, v) for u, v, _ in self.plan.cut_edges
@@ -754,11 +750,7 @@ class ShardedGateway:
         return UpdateOutcome(accepted=False, applied=False, reason=reason)
 
     def _record_outcome(self, kind: str, outcome: UpdateOutcome) -> UpdateOutcome:
-        token = (
-            "applied" if outcome.applied
-            else "deferred" if outcome.deferred
-            else "rejected"
-        )
+        token = "applied" if outcome.applied else "rejected"
         self.metrics[f"updates_{token}"] += 1
         self._count(
             "repro_gateway_updates_total",
@@ -835,10 +827,6 @@ class ShardedGateway:
                 self._weight_epoch += 1
                 self._cross.invalidate()
                 self._fallback.invalidate()
-            elif outcome.deferred:
-                self._deferred_weights[shard].append(
-                    (update.u, update.v, update.value)
-                )
             return outcome
         # cut edge: owned by the gateway, not by any shard subgraph
         return self._submit_cut_weight(update)
@@ -894,35 +882,20 @@ class ShardedGateway:
     def repair(self, shard: int | None = None) -> dict[int, bool]:
         """Repair degraded shards (all of them when ``shard`` is ``None``).
 
-        Each repaired shard's deferred weight updates are folded into the
-        full graph too.  Every shard that had such updates gets its local
-        boundary table rebuilt, then the global table is rebuilt once, so
-        the combine paths see the recovered weights.  Returns the
-        post-repair audit verdict per repaired shard.
+        A shard repair rebuilds that shard's index on the weights it
+        already serves, so no weight changes: the boundary tables stay as
+        they are, and the shard's invalidation hook retires the cached
+        answers it touched.  Returns the post-repair audit verdict per
+        repaired shard.
         """
         targets = [shard] if shard is not None else list(self.degraded_shards)
         verdicts: dict[int, bool] = {}
-        weights_changed = False
         for k in targets:
-            report = self.shards[k].repair()
-            verdicts[k] = report.ok
-            deferred = self._deferred_weights[k]
-            for u, v, value in deferred:
-                self.frn.graph.set_weight(u, v, value)
-            if deferred:
-                self.boundary.rebuild_shard(k)
-                weights_changed = True
-            deferred.clear()
+            verdicts[k] = self.shards[k].repair().ok
             self.metrics["repairs"] += 1
             self._count(
                 "repro_gateway_repairs_total", "per-shard repair passes"
             )
-        if weights_changed:
-            self.boundary.rebuild_global()
-        if targets:
-            self._weight_epoch += 1
-            self._cross.invalidate()
-            self._fallback.invalidate()
         self._sync_gauges()
         return verdicts
 
@@ -1011,11 +984,12 @@ class ShardedGateway:
     def maintenance_tick(self, steps: int = 1) -> dict[int, str]:
         """Advance every shard's background consolidation a little.
 
-        Overlay-mode shards fold their pending overlays/flows into back
+        Shards fold their pending overlays/flows into back
         buffers one cooperative step at a time; each committed swap bumps
         that shard's epoch through the unified invalidation hook, so the
-        result cache self-invalidates without a scan.  Inline-mode shards
-        are no-ops.  Returns the per-shard task state after the tick.
+        result cache self-invalidates without a scan.  Shards with nothing
+        pending are skipped.  Returns the per-shard task state after the
+        tick.
         """
         states: dict[int, str] = {}
         for k, engine in enumerate(self.shards):
@@ -1042,10 +1016,10 @@ class ShardedGateway:
 
     def status(self) -> GatewayStatus:
         """Typed snapshot for telemetry/logging."""
-        lag = 0
-        for engine in self.shards:
-            if engine.overlay is not None:
-                lag += len(engine.overlay) + len(engine._pending_flows)
+        lag = sum(
+            len(engine.overlay) + len(engine._pending_flows)
+            for engine in self.shards
+        )
         return GatewayStatus(
             num_shards=self.plan.num_shards,
             shard_sizes=tuple(len(m) for m in self.plan.members),

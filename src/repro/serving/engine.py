@@ -8,32 +8,22 @@ fault-free execution; a production serving tier gets neither.
   values, known vertices/edges, per-key timestamp monotonicity) and
   rejects are *quarantined* into a bounded dead-letter queue instead of
   raising into the feed consumer.
-* **Guarded maintenance** — accepted updates run through the transactional
-  maintenance layer under a wall-clock budget with retry and strategy
-  escalation (ISU → GSU for flow updates); an update whose every attempt
-  fails is *deferred*: the engine flips to degraded mode and remembers the
-  update for the next full :meth:`repair` rebuild.  Thanks to rollback the
-  index stays exactly consistent the whole time.
-* **Degraded serving** — while degraded (mid-repair or failed
-  :meth:`audit`), queries are answered by direct Dijkstra/A* on the
-  current graph and flagged as such: correctness degrades to *latency*,
-  never to wrong answers.
-
-Two update modes select *where* accepted updates land:
-
-* ``update_mode="inline"`` (default) — the paper's model: each update runs
-  ILU/ISU/GSU on the serving index synchronously, blocking queries for the
-  duration of the repair.
-* ``update_mode="overlay"`` — non-blocking continuous updates: weight
-  updates are absorbed O(1)-ish into a :class:`~repro.core.overlay.DeltaOverlay`
-  and queries answer exactly from ``stable ⊕ overlay`` through an
+* **Non-blocking updates** — accepted updates never touch the serving
+  labels.  Weight updates are absorbed O(1)-ish into a
+  :class:`~repro.core.overlay.DeltaOverlay` and queries answer exactly
+  from ``stable ⊕ overlay`` through an
   :class:`~repro.core.overlay.OverlayOracle`; flow updates queue for the
   next consolidation (they steer ordering quality, not answer
-  correctness).  :meth:`maintenance_tick` folds the backlog into a back
-  buffer in small cooperative steps and swaps it in atomically; a
-  consolidation that keeps failing escalates through retries to the full
-  :meth:`repair` rebuild valve, with each failure recorded in the
-  dead-letter queue.
+  correctness).  :meth:`maintenance_tick` runs the paper's ILU/ISU on a
+  back buffer in small cooperative steps and swaps it in atomically, so
+  index maintenance stays off the query path.  A consolidation that keeps
+  failing escalates through ``max_retries`` retries to the full
+  :meth:`repair` rebuild, with each failure recorded in the dead-letter
+  queue.
+* **Degraded serving** — while degraded (a failed :meth:`audit`),
+  queries are answered by direct Dijkstra/A* on the current graph and
+  flagged as such: correctness degrades to *latency*, never to wrong
+  answers.
 
 The engine is deliberately synchronous and single-threaded — it models the
 per-shard serving loop; sharding/replication live a layer above.
@@ -43,6 +33,7 @@ from __future__ import annotations
 
 import math
 import time
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -55,9 +46,8 @@ from repro.baselines.dijkstra import dijkstra_distance
 from repro.core.fahl import FAHLIndex
 from repro.core.fpsps import KERNEL_MODES, FlowAwareEngine
 from repro.core.fspq import FSPQuery, FSPResult
-from repro.core.maintenance import apply_flow_update, apply_weight_update
 from repro.core.overlay import ConsolidationTask, DeltaOverlay, OverlayOracle
-from repro.errors import IndexStateError, MaintenanceError, QueryError
+from repro.errors import IndexStateError, QueryError
 from repro.graph.frn import FlowAwareRoadNetwork
 from repro.serving.audit import AuditReport, verify_index
 from repro.serving.dead_letter import DeadLetterQueue
@@ -87,6 +77,9 @@ class EngineStatus:
     Access is attribute-style (``status.state``) or via :meth:`as_dict`;
     the deprecated dict-style ``status["state"]`` spelling completed its
     cycle and was removed (docs/API.md, "Deprecation policy").
+    ``deferred_updates`` (always 0) and ``update_mode`` (always
+    ``"overlay"``) are deprecated: no update is deferred any more and
+    overlay is the only update path.
     """
 
     state: str
@@ -96,7 +89,7 @@ class EngineStatus:
     last_audit_at: float | None = None
     last_audit_ok: bool | None = None
     metrics: dict[str, int] = field(default_factory=dict)
-    update_mode: str = "inline"
+    update_mode: str = "overlay"
     overlay_edges: int = 0
     overlay_hubs: int = 0
     pending_flow_updates: int = 0
@@ -124,8 +117,9 @@ class UpdateOutcome:
     """What happened to one submitted update.
 
     ``accepted`` — passed validation (not quarantined).
-    ``applied`` — the index reflects it (via ``strategy``).
-    ``deferred`` — accepted but waiting for the next :meth:`~ResilientEngine.repair`.
+    ``applied`` — answers reflect it (via ``strategy``).
+    ``deferred`` — deprecated, always ``False``: every accepted update is
+    applied through the overlay.
     """
 
     accepted: bool
@@ -166,39 +160,33 @@ class ResilientEngine:
         FRN's predicted flow when omitted).  Must share the FRN's graph
         object — maintenance and degraded Dijkstra must see the same
         weights.
-    time_budget:
-        Wall-clock seconds one update may spend in maintenance before
-        remaining retries are skipped and the update is deferred.
     max_retries:
-        Extra attempts per strategy after the first failure.
-    backoff:
-        Seconds slept between attempts (scaled by attempt number).
+        Consecutive failed consolidations tolerated before the engine
+        escalates to the full :meth:`repair` rebuild.
     audit_samples, audit_seed:
         Size and seed of the sampled Dijkstra cross-check in :meth:`audit`.
     dead_letter_capacity:
         Bound of the quarantine ring buffer.
-    clock, sleep:
-        Injectable time sources (tests pass fakes; chaos stays fast).
     kernel:
         Query-kernel selection forwarded to both wrapped engines
         (``"flat"`` default, ``"scalar"`` reference) — see
         :class:`~repro.core.fpsps.FlowAwareEngine`.
-    update_mode:
-        ``"inline"`` (default) repairs the serving index synchronously per
-        update; ``"overlay"`` absorbs updates into a delta overlay and
-        consolidates in the background (see the module docstring).
     overlay_capacity:
-        Overlay-mode only: pending-edge count at which :meth:`submit`
-        triggers a consolidation run.
+        Pending-edge count at which :meth:`submit` triggers a
+        consolidation run.
     durability:
         Optional :class:`~repro.durability.Durability` manager.  When set,
         every accepted update is appended to the write-ahead log *before*
-        the maintenance attempt (and therefore before the ack), its
-        outcome is logged after, admission rejects and consolidation
-        failures land in the log as dead-letter records, and each
-        committed consolidation or :meth:`repair` writes a checkpoint and
-        rotates the log.  :func:`repro.durability.recover` turns that
-        directory back into a serving engine after a crash.
+        it is absorbed (and therefore before the ack), its outcome is
+        logged after, admission rejects and consolidation failures land
+        in the log as dead-letter records, and each committed
+        consolidation or :meth:`repair` writes a checkpoint and rotates
+        the log.  :func:`repro.durability.recover` turns that directory
+        back into a serving engine after a crash.
+    update_mode, time_budget, backoff, clock, sleep:
+        Deprecated (docs/API.md).  ``update_mode="overlay"`` names the
+        only update path and is accepted silently; ``"inline"`` and the
+        four retry-loop knobs warn and change nothing.
     """
 
     def __init__(
@@ -208,19 +196,23 @@ class ResilientEngine:
         alpha: float = 0.5,
         eta_u: float = 3.0,
         pruning: str = "none",
-        time_budget: float = 5.0,
+        time_budget: float | None = None,
         max_retries: int = 1,
-        backoff: float = 0.0,
+        backoff: float | None = None,
         audit_samples: int = 24,
         audit_seed: int = 0,
         dead_letter_capacity: int = 1024,
-        clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
+        clock: Callable[[], float] | None = None,
+        sleep: Callable[[float], None] | None = None,
         kernel: str = "flat",
-        update_mode: str = "inline",
+        update_mode: str = "overlay",
         overlay_capacity: int = 64,
         durability=None,
     ) -> None:
+        _warn_deprecated(
+            update_mode,
+            time_budget=time_budget, backoff=backoff, clock=clock, sleep=sleep,
+        )
         if index is None:
             index = FAHLIndex.from_frn(frn)
         if index.graph is not frn.graph:
@@ -228,25 +220,12 @@ class ResilientEngine:
                 "ResilientEngine needs the index and FRN to share one graph "
                 "object — degraded Dijkstra must see the weights the index saw"
             )
-        if time_budget <= 0:
-            raise QueryError(f"time_budget must be positive, got {time_budget}")
         if max_retries < 0:
             raise QueryError(f"max_retries must be >= 0, got {max_retries}")
-        if update_mode not in ("inline", "overlay"):
-            raise QueryError(
-                f"update_mode must be 'inline' or 'overlay', got {update_mode!r}"
-            )
         self.frn = frn
         self.index = index
-        self.update_mode = update_mode
-        if update_mode == "overlay":
-            self.overlay: DeltaOverlay | None = DeltaOverlay(
-                frn.graph, capacity=overlay_capacity
-            )
-            self.oracle = OverlayOracle(index, self.overlay)
-        else:
-            self.overlay = None
-            self.oracle = index
+        self.overlay = DeltaOverlay(frn.graph, capacity=overlay_capacity)
+        self.oracle = OverlayOracle(index, self.overlay)
         self._engine = FlowAwareEngine(
             frn, oracle=self.oracle, alpha=alpha, eta_u=eta_u, pruning=pruning,
             kernel=kernel,
@@ -255,18 +234,13 @@ class ResilientEngine:
             frn, oracle=None, alpha=alpha, eta_u=eta_u, pruning=pruning,
             kernel=kernel,
         )
-        self.time_budget = float(time_budget)
         self.max_retries = int(max_retries)
-        self.backoff = float(backoff)
         self.audit_samples = int(audit_samples)
         self.audit_seed = int(audit_seed)
-        self._clock = clock
-        self._sleep = sleep
         self.dead_letters = DeadLetterQueue(dead_letter_capacity)
         self.state = HEALTHY
         self.metrics: Counter[str] = Counter()
         self._last_ts: dict[tuple, float] = {}
-        self._deferred: list[FlowUpdate | WeightUpdate] = []
         self._last_audit_at: float | None = None
         self._last_audit_ok: bool | None = None
         self._invalidation_hooks: list[Callable[[], None]] = []
@@ -328,13 +302,9 @@ class ResilientEngine:
             "repro_serving_dead_letter_depth", "updates currently quarantined"
         ).set(len(self.dead_letters))
         registry.gauge(
-            "repro_serving_deferred_depth", "updates parked for the next repair"
-        ).set(len(self._deferred))
-        if self.overlay is not None:
-            registry.gauge(
-                "repro_serving_consolidation_lag",
-                "accepted updates not yet folded into the stable index",
-            ).set(len(self.overlay) + len(self._pending_flows))
+            "repro_serving_consolidation_lag",
+            "accepted updates not yet folded into the stable index",
+        ).set(len(self.overlay) + len(self._pending_flows))
 
     # ------------------------------------------------------------------
     # write-ahead logging (no-ops without a durability manager, and during
@@ -345,16 +315,9 @@ class ResilientEngine:
             return None
         return self.durability.log_update(update)
 
-    def _log_outcome(
-        self,
-        wal_seq: int | None,
-        applied: bool,
-        strategy: str | None,
-        detail: str | None = None,
-    ) -> None:
-        if wal_seq is None or self.durability is None or self._replaying:
-            return
-        self.durability.log_outcome(wal_seq, applied, strategy, detail)
+    def _log_outcome(self, wal_seq: int | None, strategy: str) -> None:
+        if wal_seq is not None:
+            self.durability.log_outcome(wal_seq, strategy)
 
     def _log_dlq(self, update: object, reason: str, detail: str) -> None:
         if self.durability is None or self._replaying:
@@ -412,11 +375,10 @@ class ResilientEngine:
     # update path
     # ------------------------------------------------------------------
     def submit(self, update: FlowUpdate | WeightUpdate) -> UpdateOutcome:
-        """Validate and apply one update; never raises on bad input.
+        """Validate and absorb one update; never raises on bad input.
 
-        Invalid updates land in :attr:`dead_letters`; maintenance failures
-        are retried/escalated and, as a last resort, deferred to the next
-        :meth:`repair` (flipping the engine into degraded mode).
+        Invalid updates land in :attr:`dead_letters`; accepted ones are
+        write-ahead logged and then absorbed by :meth:`_submit_overlay`.
         """
         rejection = self._validate(update)
         if rejection is not None:
@@ -437,106 +399,11 @@ class ResilientEngine:
             self._sync_depth_gauges()
             return UpdateOutcome(accepted=False, applied=False, reason=reason)
         self._last_ts[update.key] = update.timestamp
-        # log-before-ack: the update is in the WAL before any attempt to
-        # apply it, so a crash from here on can never lose it
+        # log-before-ack: the update is in the WAL before it is absorbed,
+        # so a crash from here on can never lose it
         wal_seq = self._log_update(update)
-        if self.update_mode == "overlay":
-            return self._submit_overlay(update, wal_seq=wal_seq)
+        return self._submit_overlay(update, wal_seq=wal_seq)
 
-        strategies = (
-            ("isu", "gsu") if isinstance(update, FlowUpdate) else ("ilu",)
-        )
-        start = self._clock()
-        attempts = 0
-        last_error: MaintenanceError | None = None
-        for strategy in strategies:
-            if strategy != strategies[0]:
-                self.metrics["escalations"] += 1
-                self._count(
-                    "repro_serving_escalations_total",
-                    "maintenance strategy escalations (ISU exhausted, trying GSU)",
-                )
-            for retry in range(self.max_retries + 1):
-                attempts += 1
-                if retry > 0:
-                    self.metrics["retries"] += 1
-                    self._count(
-                        "repro_serving_retries_total",
-                        "maintenance retries after a failed attempt",
-                    )
-                    if self.backoff > 0:
-                        self._sleep(self.backoff * retry)
-                try:
-                    self._apply(update, strategy)
-                except MaintenanceError as exc:
-                    last_error = exc
-                    if self._clock() - start > self.time_budget:
-                        self.metrics["budget_exhausted"] += 1
-                        self._count(
-                            "repro_serving_budget_exhausted_total",
-                            "updates deferred because the time budget ran out",
-                        )
-                        return self._defer(update, attempts, exc, wal_seq=wal_seq)
-                else:
-                    self._log_outcome(wal_seq, True, strategy)
-                    self.metrics["updates_accepted"] += 1
-                    self._count(
-                        "repro_serving_updates_total",
-                        "submitted updates by admission outcome",
-                        outcome="accepted",
-                    )
-                    self.invalidate()
-                    if self.durability is not None and not self._replaying:
-                        self.durability.maybe_checkpoint(self)
-                    return UpdateOutcome(
-                        accepted=True,
-                        applied=True,
-                        strategy=strategy,
-                        attempts=attempts,
-                    )
-        assert last_error is not None
-        return self._defer(update, attempts, last_error, wal_seq=wal_seq)
-
-    def _apply(self, update: FlowUpdate | WeightUpdate, strategy: str) -> None:
-        if isinstance(update, FlowUpdate):
-            apply_flow_update(self.index, update.vertex, update.value, method=strategy)
-        else:
-            apply_weight_update(self.index, update.u, update.v, update.value)
-
-    def _defer(
-        self,
-        update: FlowUpdate | WeightUpdate,
-        attempts: int,
-        error: MaintenanceError,
-        wal_seq: int | None = None,
-    ) -> UpdateOutcome:
-        """Every attempt failed: park the update and degrade the engine."""
-        self._log_outcome(wal_seq, False, None, detail=str(error))
-        self._deferred.append(update)
-        self._set_state(DEGRADED)
-        self.metrics["updates_deferred"] += 1
-        self._count(
-            "repro_serving_updates_total",
-            "submitted updates by admission outcome",
-            outcome="deferred",
-        )
-        self.dead_letters.push(
-            update,
-            "maintenance-failed",
-            f"deferred to next repair after {attempts} attempts: {error}",
-        )
-        self._sync_depth_gauges()
-        return UpdateOutcome(
-            accepted=True,
-            applied=False,
-            reason="maintenance-failed",
-            attempts=attempts,
-            deferred=True,
-        )
-
-    # ------------------------------------------------------------------
-    # overlay update path (update_mode="overlay")
-    # ------------------------------------------------------------------
     def _submit_overlay(
         self,
         update: FlowUpdate | WeightUpdate,
@@ -551,7 +418,6 @@ class ResilientEngine:
         serving index is never blocked on a label repair.
         """
         overlay = self.overlay
-        assert overlay is not None
         if isinstance(update, WeightUpdate):
             changed = overlay.absorb(update.u, update.v, update.value)
             if changed:
@@ -571,7 +437,7 @@ class ResilientEngine:
         # outcome goes in *before* the is_full trigger below, so the
         # update/outcome pair always lands in the same WAL generation as
         # the consolidation marker + rotation it may cause
-        self._log_outcome(wal_seq, True, strategy)
+        self._log_outcome(wal_seq, strategy)
         self.metrics["updates_accepted"] += 1
         self._count(
             "repro_serving_updates_total",
@@ -590,8 +456,6 @@ class ResilientEngine:
     @property
     def consolidation_pending(self) -> bool:
         """True when there is unconsolidated state (or a task in flight)."""
-        if self.overlay is None:
-            return False
         return (
             self._task is not None
             or not self.overlay.is_empty
@@ -610,7 +474,7 @@ class ResilientEngine:
         after ``max_retries`` consecutive failures the engine pulls the
         full-rebuild valve.
         """
-        if self.overlay is None or not self.consolidation_pending:
+        if not self.consolidation_pending:
             return None
         if self._task is None:
             self._task = ConsolidationTask(
@@ -697,15 +561,11 @@ class ResilientEngine:
         self.dead_letters.push(None, "consolidation-failed", detail)
         self._sync_depth_gauges()
         if self._consolidation_failures > self.max_retries:
-            self.metrics["escalations"] += 1
-            self._count(
-                "repro_serving_escalations_total",
-                "maintenance strategy escalations (ISU exhausted, trying GSU)",
-            )
             self._consolidation_failures = 0
             self.repair()
             return "rebuilt"
         return "failed"
+
     @property
     def degraded(self) -> bool:
         return self.state != HEALTHY
@@ -870,15 +730,15 @@ class ResilientEngine:
     def audit(self) -> AuditReport:
         """Run the sampled self-audit; a failed audit degrades the engine.
 
-        In overlay mode the probe checks what queries actually see —
-        ``stable ⊕ overlay`` through the oracle — since the raw labels
-        legitimately lag the live weights between consolidations.
+        The probe checks what queries actually see — ``stable ⊕ overlay``
+        through the oracle — since the raw labels legitimately lag the
+        live weights between consolidations.
         """
         report = verify_index(
             self.index,
             samples=self.audit_samples,
             seed=self.audit_seed,
-            oracle=self.oracle if self.overlay is not None else None,
+            oracle=self.oracle,
         )
         self._last_audit_at = time.time()
         self._last_audit_ok = report.ok
@@ -890,42 +750,31 @@ class ResilientEngine:
         if not report.ok:
             self._set_state(DEGRADED)
             self.metrics["audits_failed"] += 1
-        elif not self._deferred:
+        else:
             self.state = HEALTHY
         return report
 
     def repair(self) -> AuditReport:
-        """Rebuild the index from scratch, folding in deferred updates.
+        """Rebuild the index from scratch on the live graph and pending flows.
 
         A full rebuild does not depend on the incremental maintenance paths
         at all, so it recovers even from failures that defeat ISU, GSU and
         ILU alike.  The engine returns to healthy only if the post-repair
         audit passes.
         """
-        graph = self.frn.graph
         flows = self.index.flows.copy()
         for vertex, value in self._pending_flows.items():
             flows[vertex] = value
-        for update in self._deferred:
-            if isinstance(update, FlowUpdate):
-                flows[update.vertex] = update.value
-            else:
-                graph.set_weight(update.u, update.v, update.value)
-        index = FAHLIndex(graph, flows, beta=self.index.beta)
-        # nothing below raises: the engine flips to the new index whole
+        index = FAHLIndex(self.frn.graph, flows, beta=self.index.beta)
+        # nothing below raises: the engine flips to the new index whole.
+        # The rebuild saw the *current* weights, so the overlay empties:
+        # its stable baseline is now the live graph itself
         self.index = index
-        if self.overlay is not None:
-            # the rebuild saw the *current* weights, so the overlay empties:
-            # its stable baseline is now the live graph itself
-            self._task = None
-            self.oracle.index = index
-            self.overlay.commit_rebase(({}, [], {}))
-            self._pending_flows.clear()
-        else:
-            self.oracle = index
-        self._engine.oracle = self.oracle
+        self._task = None
+        self.oracle.index = index
+        self.overlay.commit_rebase(({}, [], {}))
+        self._pending_flows.clear()
         self.invalidate()
-        self._deferred.clear()
         self.metrics["repairs"] += 1
         self._count("repro_serving_repairs_total", "full index rebuilds")
         self._sync_depth_gauges()
@@ -940,18 +789,41 @@ class ResilientEngine:
         """Typed snapshot for telemetry/logging (attribute access only)."""
         return EngineStatus(
             state=self.state,
-            deferred_updates=len(self._deferred),
+            deferred_updates=0,
             dead_letters_queued=len(self.dead_letters),
             dead_letters_seen=self.dead_letters.total_seen,
             last_audit_at=self._last_audit_at,
             last_audit_ok=self._last_audit_ok,
             metrics=dict(self.metrics),
-            update_mode=self.update_mode,
-            overlay_edges=0 if self.overlay is None else len(self.overlay),
-            overlay_hubs=0 if self.overlay is None else self.overlay.num_hubs,
+            overlay_edges=len(self.overlay),
+            overlay_hubs=self.overlay.num_hubs,
             pending_flow_updates=len(self._pending_flows),
             consolidation_state=None if self._task is None else self._task.state,
         )
+
+
+def _warn_deprecated(update_mode: str, **knobs) -> None:
+    """One deprecation cycle for the retired inline update path."""
+    if update_mode == "inline":
+        warnings.warn(
+            "update_mode='inline' is deprecated and serves through the "
+            "overlay: ResilientEngine has one update path",
+            DeprecationWarning,
+            stacklevel=3,
+        )
+    elif update_mode != "overlay":
+        raise QueryError(
+            f"update_mode must be 'overlay' (or the deprecated 'inline'), "
+            f"got {update_mode!r}"
+        )
+    for name, value in knobs.items():
+        if value is not None:
+            warnings.warn(
+                f"{name} is deprecated and ignored: updates are absorbed "
+                "into the overlay, with no retry loop to budget or pace",
+                DeprecationWarning,
+                stacklevel=3,
+            )
 
 
 def _finite(value: object) -> bool:

@@ -99,7 +99,7 @@ class TestCoalescedBitIdentity:
     def test_flow_update_mid_window_is_coalescing_safe(self, frn):
         """A real maintenance op lands mid-window; the whole window answers
         from the post-update index, same as per-request calls would."""
-        serving = ResilientEngine(frn, max_retries=0, backoff=0.0)
+        serving = ResilientEngine(frn, max_retries=0)
         queries = [FSPQuery(0, i, 0) for i in range(1, 9)]
 
         async def run():
@@ -136,7 +136,7 @@ class TestCoalescedBitIdentity:
 
     def test_envelopes_survive_the_window(self, frn):
         """Serving tiers answer with their envelopes, not unwrapped values."""
-        gateway = ShardedGateway(frn, num_shards=2, max_retries=0, backoff=0.0)
+        gateway = ShardedGateway(frn, num_shards=2, max_retries=0)
         query = FSPQuery(0, frn.num_vertices - 1, 0)
 
         async def run():

@@ -2,13 +2,15 @@
 
 Acceptance check for the resilience work: feed the :class:`ResilientEngine`
 a deterministic stream mixing clean and corrupted updates while injecting
-maintenance faults (transient, escalating and fatal), and assert that
+consolidation faults (transient and fatal) and a label corruption, and
+assert that
 
 * every corrupted update is quarantined with the matching reason,
 * every answered query is *correct* (index distances match Dijkstra on the
   live graph, FSPQ scores match an index-free reference engine),
-* the deferred tail degrades the engine rather than corrupting it, and a
-  final :meth:`repair` folds everything in and returns to healthy.
+* failing consolidations never touch the serving pair and escalate to the
+  full rebuild, a failed audit degrades the engine rather than letting it
+  serve wrong answers, and a final :meth:`repair` returns it to healthy.
 """
 
 from __future__ import annotations
@@ -66,87 +68,83 @@ class TestChaosRun:
     def test_serving_survives_corrupted_stream_and_faults(self):
         graph = fixed_graph()
         frn = FlowAwareRoadNetwork(graph, generate_flow_series(graph, days=1, seed=5))
-        serving = ResilientEngine(frn, max_retries=1, backoff=0.0)
+        serving = ResilientEngine(frn, max_retries=1)
         rng = np.random.default_rng(42)
         edges = [(u, v) for u, v, _ in graph.edges()]
 
         timestamp = 0.0
         expected_rejections: list[str] = []
         expected_flows = serving.index.flows.copy()
-        deferred_round = 3
+        # consolidation states per round: clean, fatal ISU faults (two
+        # failures exhaust max_retries=1 and pull the rebuild valve), one
+        # transient fault (the retry commits)
+        expected_states = (["done"], ["failed", "rebuilt"], ["failed", "done"])
 
-        for round_no in range(deferred_round + 1):
+        for round_no, want_states in enumerate(expected_states):
             vertices = rng.choice(N, size=4, replace=False)
             clean = {int(v): float(rng.uniform(1.0, 300.0)) for v in vertices}
             dirty, corrupted = corrupt_updates(
                 clean, num_vertices=N, rate=0.4, seed=round_no
             )
+            for vertex, value in sorted(dirty.items()):
+                timestamp += 1.0
+                outcome = serving.submit(
+                    FlowUpdate(vertex, value, timestamp=timestamp)
+                )
+                if vertex >= N:
+                    expected_rejections.append("unknown-vertex")
+                    assert outcome.reason == "unknown-vertex"
+                elif vertex in corrupted:
+                    reason = KIND_TO_REASON[corrupted[vertex]]
+                    expected_rejections.append(reason)
+                    assert outcome.reason == reason
+                else:
+                    assert outcome.applied and not outcome.deferred
+                    expected_flows[vertex] = value
+            # one weight change per round keeps ILU in the mix
+            u, v = edges[round_no % len(edges)]
+            timestamp += 1.0
+            new_weight = float(rng.uniform(1.0, 15.0))
+            assert serving.submit(
+                WeightUpdate(u, v, new_weight, timestamp=timestamp)
+            ).applied
+            assert graph.weight(u, v) == new_weight
+            assert_serving_correct(serving, frn)
 
+            states = []
             with FaultInjector() as inj:
                 if round_no == 1:
-                    # fatal ISU faults: every flow update escalates to GSU
                     for point in ("isu:window-eliminated", "isu:frontier-compared",
                                   "isu:structure-stitched", "isu:labels-refreshed"):
                         inj.fail_at(point, times=-1)
                 elif round_no == 2:
-                    # transient: retries within ISU (or escalation) recover
-                    inj.fail_at("flow:flow-set", times=2)
-                elif round_no == deferred_round:
-                    # unrecoverable: every strategy fails, updates defer
-                    inj.fail_at("flow:flow-set", times=-1)
+                    inj.fail_at("consolidate:weights-folded", times=1)
+                while serving.consolidation_pending:
+                    states.append(serving.consolidate())
+                    # a failed fold never touches the serving pair
+                    assert_serving_correct(serving, frn)
+            assert states == want_states
+            assert not serving.degraded
+            np.testing.assert_array_equal(serving.index.flows, expected_flows)
 
-                for vertex, value in sorted(dirty.items()):
-                    timestamp += 1.0
-                    outcome = serving.submit(
-                        FlowUpdate(vertex, value, timestamp=timestamp)
-                    )
-                    if vertex >= N:
-                        expected_rejections.append("unknown-vertex")
-                        assert outcome.reason == "unknown-vertex"
-                    elif vertex in corrupted:
-                        reason = KIND_TO_REASON[corrupted[vertex]]
-                        expected_rejections.append(reason)
-                        assert outcome.reason == reason
-                    elif round_no == deferred_round:
-                        assert outcome.accepted and outcome.deferred
-                        expected_flows[vertex] = value  # folded in at repair
-                    else:
-                        assert outcome.applied
-                        if round_no == 1:
-                            assert outcome.strategy == "gsu"
-                        expected_flows[vertex] = value
-
-                if round_no < deferred_round:
-                    # one weight change per round keeps ILU in the mix
-                    u, v = edges[round_no % len(edges)]
-                    timestamp += 1.0
-                    new_weight = float(rng.uniform(1.0, 15.0))
-                    assert serving.submit(
-                        WeightUpdate(u, v, new_weight, timestamp=timestamp)
-                    ).applied
-                    assert graph.weight(u, v) == new_weight
-
-            # answered queries stay correct through every round (degraded
-            # rounds fall back to direct search — latency, not wrongness)
-            assert_serving_correct(serving, frn)
-            if round_no < deferred_round:
-                assert not serving.degraded
-                np.testing.assert_array_equal(serving.index.flows, expected_flows)
-
-        # deferred tail: degraded but quarantined, not corrupted
+        # a silently corrupted label: the audit degrades the engine and
+        # queries fall back to direct search — latency, not wrongness
+        serving.index.labels[0][-1] = 1.0
+        assert not serving.audit().ok
         assert serving.degraded
-        assert serving.status().deferred_updates > 0
+        assert_serving_correct(serving, frn)
+        assert serving.distance(0, 7).source == "fallback"
 
-        # quarantine ledger matches the corruption we injected exactly
+        # the quarantine ledger matches the corruption we injected exactly,
+        # plus one note per failed consolidation (two fatal, one transient)
         by_reason = dict(serving.dead_letters.by_reason)
-        deferred_count = by_reason.pop("maintenance-failed", 0)
-        assert deferred_count == serving.status().deferred_updates
+        assert by_reason.pop("consolidation-failed") == 3
         expected_counts: dict[str, int] = {}
         for reason in expected_rejections:
             expected_counts[reason] = expected_counts.get(reason, 0) + 1
         assert by_reason == expected_counts
 
-        # full repair folds the deferred updates in and re-healthies
+        # full repair rebuilds the labels and re-healthies
         report = serving.repair()
         assert report.ok
         assert not serving.degraded
@@ -178,9 +176,7 @@ class TestOverlayConsolidationChaos:
         frn = FlowAwareRoadNetwork(
             graph, generate_flow_series(graph, days=1, seed=5)
         )
-        serving = ResilientEngine(
-            frn, max_retries=1, backoff=0.0, update_mode="overlay"
-        )
+        serving = ResilientEngine(frn, max_retries=1)
         ts = 0.0
         for u, v, w in ((0, 1, 9.0), (5, 6, 0.5), (2, 4, 7.5)):
             ts += 1.0

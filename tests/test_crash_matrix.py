@@ -32,7 +32,8 @@ from repro.testing import CrashInjector
 
 pytestmark = pytest.mark.crash
 
-MODES = ("inline", "overlay")
+#: the one update path; the axis stays so every case keeps its ``overlay`` id
+MODES = ("overlay",)
 MATRIX_POINTS = tuple(p for p in CRASH_POINTS if p != "recover:mid-replay")
 
 
@@ -46,7 +47,7 @@ def scripted_updates(frn: FlowAwareRoadNetwork):
     """A stream long enough to cross every instrumented boundary.
 
     With ``auto_checkpoint=3`` the checkpoint points are crossed mid-stream
-    and with ``overlay_capacity=4`` the overlay engine also consolidates;
+    and with ``overlay_capacity=4`` the engine also consolidates;
     one invalid weight exercises the quarantine path.
     """
     edges = list(frn.graph.edges())[:8]
@@ -59,17 +60,13 @@ def scripted_updates(frn: FlowAwareRoadNetwork):
     return updates
 
 
-def build_engine(root, frn, mode) -> ResilientEngine:
+def build_engine(root, frn) -> ResilientEngine:
     durability = Durability(root, fsync="always", auto_checkpoint=3)
-    return ResilientEngine(
-        frn, update_mode=mode, durability=durability, overlay_capacity=4
-    )
+    return ResilientEngine(frn, durability=durability, overlay_capacity=4)
 
 
-def reference_distances(updates, mode, n) -> dict[tuple[int, int], float]:
-    engine = ResilientEngine(
-        make_frn(), update_mode=mode, overlay_capacity=4
-    )
+def reference_distances(updates, n) -> dict[tuple[int, int], float]:
+    engine = ResilientEngine(make_frn(), overlay_capacity=4)
     for update in updates:
         engine.submit(update)
     return {
@@ -90,7 +87,7 @@ def test_kill_and_recover(tmp_path, point, mode):
     n = frn.num_vertices
     updates = scripted_updates(frn)
 
-    engine = build_engine(tmp_path, frn, mode)
+    engine = build_engine(tmp_path, frn)
     acked: list = []
     inflight = None
     with CrashInjector() as injector:
@@ -119,8 +116,8 @@ def test_kill_and_recover(tmp_path, point, mode):
     }
     # the in-flight update was either durably acked or never happened —
     # recovery must land on one of those two worlds, bit-for-bit
-    without = reference_distances(acked, mode, n)
-    with_inflight = reference_distances(acked + [inflight], mode, n)
+    without = reference_distances(acked, n)
+    with_inflight = reference_distances(acked + [inflight], n)
     assert got == without or got == with_inflight, (
         f"recovered distances match neither world (point={point}, "
         f"mode={mode}, report={report})"
@@ -152,9 +149,7 @@ def test_crash_during_recovery_then_recover_again(tmp_path, mode):
     # no auto-checkpoint and a roomy overlay: the whole stream stays in
     # the WAL tail, so recovery has plenty of records to die in the middle of
     durability = Durability(tmp_path, fsync="always")
-    engine = ResilientEngine(
-        frn, update_mode=mode, durability=durability, overlay_capacity=64
-    )
+    engine = ResilientEngine(frn, durability=durability, overlay_capacity=64)
     for update in updates:
         engine.submit(update)
     expected = {

@@ -9,9 +9,14 @@ fuzz (truncation / bit flips must never load silently).
 
 from __future__ import annotations
 
+import json
+import shutil
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.baselines.dijkstra import dijkstra_distance
 from repro.core.fahl import FAHLIndex
 from repro.durability import (
     Durability,
@@ -24,10 +29,10 @@ from repro.errors import IndexIntegrityError, RecoveryError
 from repro.flow.synthetic import generate_flow_series
 from repro.graph.frn import FlowAwareRoadNetwork
 from repro.graph.generators import grid_network
+from repro.graph.road_network import RoadNetwork
 from repro.labeling.serialize import load_index, save_index
 from repro.serving.engine import ResilientEngine
 from repro.serving.updates import FlowUpdate, WeightUpdate
-from repro.testing import FaultInjector
 
 
 def make_frn(side: int = 5) -> FlowAwareRoadNetwork:
@@ -207,7 +212,7 @@ class TestCheckpoints:
 # recovery
 # ----------------------------------------------------------------------
 class TestRecover:
-    @pytest.mark.parametrize("mode", ["inline", "overlay"])
+    @pytest.mark.parametrize("mode", ["overlay"])
     def test_recover_is_bit_identical(self, tmp_path, mode):
         frn = make_frn()
         n = frn.num_vertices
@@ -231,7 +236,7 @@ class TestRecover:
         assert all_pairs(recovered, n) == expected
         assert dict(recovered.dead_letters.by_reason) == dlq_reasons
         assert recovered.state == engine.state
-        assert recovered.update_mode == mode
+        assert recovered.status().update_mode == mode
         for key, value in metrics.items():
             assert recovered.metrics[key] == value, key
 
@@ -300,36 +305,6 @@ class TestRecover:
         assert recovered.last_recovery.cold_rebuild
         assert all_pairs(recovered, n) == expected
 
-    def test_deferred_and_dlq_survive_and_repair_resurfaces(self, tmp_path):
-        frn = make_frn()
-        n = frn.num_vertices
-        durability = Durability(tmp_path)
-        engine = ResilientEngine(frn, durability=durability, max_retries=0)
-        for update in weight_updates(frn, 2):
-            engine.submit(update)
-        poisoned = FlowUpdate(3, 9.0, timestamp=50.0)
-        with FaultInjector() as injector:
-            injector.fail_at("flow:flow-set", times=-1)
-            outcome = engine.submit(poisoned)
-        assert outcome.deferred
-        assert engine.degraded
-        durability.close()
-
-        recovered = recover(tmp_path, make_frn())
-        # the deferred update and its quarantine entry survived the crash
-        assert recovered.degraded
-        assert [u for u in recovered._deferred] == [poisoned]
-        assert recovered.dead_letters.by_reason["maintenance-failed"] == 1
-        # repair() folds the recovered deferred update in and heals
-        report = recovered.repair()
-        assert report.ok
-        assert not recovered.degraded
-        assert recovered._deferred == []
-        # the dead-letter record remains for operators after the repair
-        assert recovered.dead_letters.by_reason["maintenance-failed"] == 1
-        assert recovered.index.flows[3] == 9.0
-        assert all_pairs(recovered, n)  # still serves
-
     def test_recovered_engine_keeps_logging(self, tmp_path):
         frn = make_frn()
         n = frn.num_vertices
@@ -346,6 +321,80 @@ class TestRecover:
         middle.durability.close()
         final = recover(tmp_path, make_frn())
         assert all_pairs(final, n) == expected
+
+
+# ----------------------------------------------------------------------
+# directories written by an inline-mode engine (tests/data/inline_engine)
+# ----------------------------------------------------------------------
+INLINE_FIXTURE = Path(__file__).parent / "data" / "inline_engine"
+
+
+class TestInlineModeDirectory:
+    """A checkpoint + WAL from the retired inline path loses no ack.
+
+    The fixture's checkpoint carries ``update_mode="inline"`` and two
+    deferred updates; its log tail holds ILU/ISU outcomes and one more
+    deferred (``applied: false``) update.  See ``generate.py`` there.
+    """
+
+    @pytest.fixture()
+    def fixture(self, tmp_path):
+        expected = json.loads((INLINE_FIXTURE / "expected.json").read_text())
+        root = tmp_path / "wal"
+        # recovery repairs torn tails and checkpoints: work on a copy
+        shutil.copytree(INLINE_FIXTURE / "wal", root)
+        recipe = expected["recipe"]
+        assert recipe["rows"] == recipe["cols"]
+        assert (recipe["graph_seed"], recipe["flow_days"], recipe["flow_seed"]) == (
+            42, 1, 3
+        )
+        final = RoadNetwork(
+            recipe["rows"] * recipe["cols"],
+            edges=[(u, v, float(w)) for u, v, w in expected["final_weights"]],
+        )
+        flows = {int(k): v for k, v in expected["final_flows"].items()}
+        return root, make_frn(recipe["rows"]), final, flows
+
+    @staticmethod
+    def assert_final_world(engine, final, flows) -> None:
+        n = final.num_vertices
+        for u, v, w in final.edges():
+            assert engine.frn.graph.weight(u, v) == w, (u, v)
+        for s in range(n):
+            for t in range(n):
+                assert engine.distance(s, t).value == pytest.approx(
+                    dijkstra_distance(final, s, t), abs=1e-9
+                ), (s, t)
+        engine.consolidate()
+        for vertex, value in flows.items():
+            assert engine.index.flows[vertex] == value, vertex
+
+    def test_checkpoint_and_tail_keep_every_ack(self, fixture):
+        root, frn, final, flows = fixture
+        recovered = recover(root, frn)
+        report = recovered.last_recovery
+        assert report.generation == 1 and not report.cold_rebuild
+        assert report.replayed_updates == 4
+        assert recovered.status().deferred_updates == 0
+        # checkpointed degraded by the deferrals: answers stay exact while
+        # degraded, and repair heals
+        assert recovered.degraded
+        self.assert_final_world(recovered, final, flows)
+        assert recovered.repair().ok
+        assert not recovered.degraded
+        assert recovered.distance(0, final.num_vertices - 1).source == "index"
+        self.assert_final_world(recovered, final, flows)
+
+    def test_cold_rebuild_replays_the_whole_log(self, fixture):
+        root, frn, final, flows = fixture
+        shutil.rmtree(root / "ckpt-00000001")
+        recovered = recover(root, frn)
+        report = recovered.last_recovery
+        assert report.cold_rebuild
+        assert report.replayed_updates == 8
+        assert not recovered.degraded
+        assert recovered.status().update_mode == "overlay"
+        self.assert_final_world(recovered, final, flows)
 
 
 # ----------------------------------------------------------------------

@@ -482,7 +482,7 @@ class TestDeprecationRemoval:
             engine.invalidate_flow_cache()
 
     def test_engine_status_getitem_removed(self, grid_frn):
-        serving = ResilientEngine(grid_frn, max_retries=1, backoff=0.0)
+        serving = ResilientEngine(grid_frn, max_retries=1)
         status = serving.status()
         with pytest.raises(TypeError):
             status["state"]

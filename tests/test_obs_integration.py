@@ -54,19 +54,6 @@ def test_rollback_is_counted(registry, frn):
     assert counter.value(op="apply_flow_update") >= 1
 
 
-def test_serving_rollback_retry_metrics(registry, frn):
-    serving = ResilientEngine(frn, max_retries=1, backoff=0.0, audit_samples=4)
-    with FaultInjector() as injector:
-        injector.fail_at("flow:flow-set", times=1)
-        outcome = serving.submit(FlowUpdate(0, 99.0))
-    assert outcome.applied
-    assert registry.get("repro_maintenance_rollbacks_total").total() >= 1
-    assert registry.get("repro_serving_retries_total").total() >= 1
-    assert (
-        registry.get("repro_serving_updates_total").value(outcome="accepted") == 1
-    )
-
-
 def test_quarantine_metrics_and_dlq_gauge(registry, frn):
     serving = ResilientEngine(frn, audit_samples=4)
     n = frn.num_vertices
@@ -87,19 +74,12 @@ def test_quarantine_metrics_and_dlq_gauge(registry, frn):
 
 
 def test_degraded_transition_metric(registry, frn):
-    serving = ResilientEngine(
-        frn, max_retries=0, backoff=0.0, audit_samples=4
-    )
-    with FaultInjector() as injector:
-        # both ISU and its GSU escalation fail -> deferred + degraded
-        injector.fail_at("flow:flow-set", times=10)
-        outcome = serving.submit(FlowUpdate(0, 77.0))
-    assert outcome.deferred
+    serving = ResilientEngine(frn, max_retries=0, audit_samples=4)
+    serving.index.labels[0][-1] = 1.0  # corrupt a self entry: audit fails
+    assert not serving.audit().ok
     assert serving.degraded
     assert registry.get("repro_serving_degraded_transitions_total").total() == 1
-    assert registry.get("repro_serving_updates_total").value(outcome="deferred") == 1
-    assert registry.get("repro_serving_escalations_total").total() >= 1
-    assert registry.get("repro_serving_deferred_depth").value() == 1
+    assert registry.get("repro_serving_audits_total").value(ok="false") == 1
     serving.query(FSPQuery(0, 5, 0))
     assert (
         registry.get("repro_serving_queries_total").value(source="fallback") == 1

@@ -268,10 +268,7 @@ def frn() -> FlowAwareRoadNetwork:
 
 @pytest.fixture()
 def serving(frn) -> ResilientEngine:
-    return ResilientEngine(
-        frn, max_retries=1, backoff=0.0, update_mode="overlay",
-        overlay_capacity=64,
-    )
+    return ResilientEngine(frn, max_retries=1, overlay_capacity=64)
 
 
 class TestOverlayServing:
@@ -312,9 +309,7 @@ class TestOverlayServing:
         assert report.ok
 
     def test_overlay_capacity_triggers_consolidation(self, frn):
-        serving = ResilientEngine(
-            frn, max_retries=1, update_mode="overlay", overlay_capacity=2
-        )
+        serving = ResilientEngine(frn, max_retries=1, overlay_capacity=2)
         assert serving.submit(WeightUpdate(0, 1, 9.0, timestamp=1.0)).applied
         assert serving.submit(WeightUpdate(1, 2, 8.0, timestamp=2.0)).applied
         # hitting capacity consolidated inline: nothing left pending
@@ -339,9 +334,7 @@ class TestOverlayServing:
         assert serving.index is not index_before
 
     def test_repeated_failures_escalate_to_repair(self, frn):
-        serving = ResilientEngine(
-            frn, max_retries=0, backoff=0.0, update_mode="overlay"
-        )
+        serving = ResilientEngine(frn, max_retries=0)
         assert serving.submit(WeightUpdate(0, 1, 9.0, timestamp=1.0)).applied
         with FaultInjector() as inj:
             inj.fail_at("consolidate:weights-folded", times=-1)

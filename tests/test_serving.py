@@ -1,8 +1,9 @@
-"""Unit tests for the resilient serving layer (admission, retry, repair)."""
+"""Unit tests for the resilient serving layer (admission, overlay, repair)."""
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import pytest
 
@@ -42,7 +43,7 @@ def frn() -> FlowAwareRoadNetwork:
 
 @pytest.fixture()
 def serving(frn) -> ResilientEngine:
-    return ResilientEngine(frn, max_retries=1, backoff=0.0)
+    return ResilientEngine(frn, max_retries=1)
 
 
 class TestAdmissionControl:
@@ -106,42 +107,14 @@ class TestGuardedMaintenance:
         assert got.source == "index"
         assert got.value == pytest.approx(dijkstra_distance(frn.graph, 0, 1))
 
-    def test_transient_fault_is_retried(self, serving):
-        with FaultInjector() as inj:
-            inj.fail_at("flow:flow-set", times=1)
-            outcome = serving.submit(FlowUpdate(3, 500.0))
-        assert outcome.applied
-        assert outcome.attempts == 2
-        assert outcome.strategy == "isu"
-        assert serving.metrics["retries"] == 1
-
-    def test_isu_failure_escalates_to_gsu(self, serving):
-        with FaultInjector() as inj:
-            for point in ("isu:window-eliminated", "isu:frontier-compared",
-                          "isu:structure-stitched", "isu:labels-refreshed"):
-                inj.fail_at(point, times=-1)
-            outcome = serving.submit(FlowUpdate(3, 500.0))
-        assert outcome.applied
-        assert outcome.strategy == "gsu"
-        assert serving.metrics["escalations"] == 1
-
-    def test_total_failure_defers_and_degrades(self, serving, frn):
-        with FaultInjector() as inj:
-            inj.fail_at("flow:flow-set", times=-1)
-            outcome = serving.submit(FlowUpdate(3, 500.0))
-        assert outcome.accepted and not outcome.applied
-        assert outcome.deferred
-        assert serving.degraded
-        assert serving.dead_letters.by_reason["maintenance-failed"] == 1
-        # degraded answers fall back to direct search but stay correct
-        got = serving.distance(2, 7)
-        assert got.degraded and got.source == "fallback"
-        assert got.value == pytest.approx(dijkstra_distance(frn.graph, 2, 7))
-
     def test_repair_folds_in_deferred_updates(self, serving, frn):
+        # a maintenance fault cannot touch submit: the flow update is
+        # accepted and queued, never deferred, and repair folds it in
         with FaultInjector() as inj:
             inj.fail_at("flow:flow-set", times=-1)
-            serving.submit(FlowUpdate(3, 500.0))
+            outcome = serving.submit(FlowUpdate(3, 500.0))
+        assert outcome.applied and not outcome.deferred
+        assert not serving.degraded
         report = serving.repair()
         assert report.ok
         assert not serving.degraded
@@ -149,28 +122,36 @@ class TestGuardedMaintenance:
         assert serving.status().deferred_updates == 0
         assert serving.distance(2, 7).source == "index"
 
-    def test_time_budget_short_circuits_retries(self, frn):
-        ticks = iter(range(0, 1000, 10))
-        serving = ResilientEngine(
-            frn, time_budget=5.0, max_retries=3, clock=lambda: float(next(ticks))
-        )
-        with FaultInjector() as inj:
-            inj.fail_at("flow:flow-set", times=-1)
-            outcome = serving.submit(FlowUpdate(3, 500.0))
-        assert outcome.deferred
-        assert outcome.attempts == 1  # budget blown after the first failure
-        assert serving.metrics["budget_exhausted"] == 1
+    def test_deprecated_keywords_warn_and_change_nothing(self):
+        def fresh_frn():
+            graph = fixed_graph()
+            return FlowAwareRoadNetwork(
+                graph, generate_flow_series(graph, days=1, seed=9)
+            )
 
-    def test_backoff_uses_injected_sleep(self, frn):
-        naps: list[float] = []
-        serving = ResilientEngine(
-            frn, max_retries=2, backoff=0.5, sleep=naps.append
-        )
-        with FaultInjector() as inj:
-            inj.fail_at("flow:flow-set", times=2)
-            outcome = serving.submit(FlowUpdate(3, 500.0))
-        assert outcome.applied
-        assert naps == [0.5, 1.0]
+        query = FSPQuery(0, 7, 0)
+        update = WeightUpdate(0, 1, 9.0, timestamp=1.0)
+        reference = ResilientEngine(fresh_frn())
+        assert reference.submit(update).applied
+        for kwargs in (
+            {"update_mode": "inline"},
+            {"time_budget": 5.0},
+            {"backoff": 0.0},
+            {"clock": lambda: 0.0},
+            {"sleep": lambda seconds: None},
+        ):
+            with pytest.warns(DeprecationWarning, match=next(iter(kwargs))):
+                serving = ResilientEngine(fresh_frn(), **kwargs)
+            outcome = serving.submit(update)
+            assert outcome.applied and outcome.strategy == "overlay"
+            assert serving.query(query).result == reference.query(query).result
+            assert serving.distance(2, 7) == reference.distance(2, 7)
+            status = serving.status()
+            assert status.update_mode == "overlay"
+            assert status.deferred_updates == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ResilientEngine(fresh_frn(), update_mode="overlay")
 
 
 class TestQueriesAndAudit:
@@ -232,9 +213,9 @@ class TestConstruction:
 
     def test_rejects_bad_parameters(self, frn):
         with pytest.raises(QueryError):
-            ResilientEngine(frn, time_budget=0.0)
-        with pytest.raises(QueryError):
             ResilientEngine(frn, max_retries=-1)
+        with pytest.raises(QueryError):
+            ResilientEngine(frn, update_mode="eventual")
 
 
 class TestVerifyIndex:

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro import ShardedGateway
+from repro import ShardedGateway, obs
 from repro.durability import RecoveryReport
 from repro.errors import QueryError
 from repro.flow.synthetic import generate_flow_series
 from repro.graph.frn import FlowAwareRoadNetwork
 from repro.graph.generators import grid_network
 from repro.serving import FlowUpdate, WeightUpdate
-from repro.testing import FaultInjector
 
 from .boundary_oracle import assert_boundary_exact
 
@@ -33,7 +32,7 @@ def make_frn(seed: int = 3) -> FlowAwareRoadNetwork:
 @pytest.fixture()
 def durable_gateway(tmp_path):
     gateway = ShardedGateway(
-        make_frn(), num_shards=4, max_retries=0, backoff=0.0,
+        make_frn(), num_shards=4, max_retries=0,
         durability_dir=tmp_path, durability_kwargs={"fsync": "never"},
     )
     yield gateway
@@ -54,13 +53,13 @@ def snapshot(gateway):
 
 
 def degrade_shard(gateway, shard: int) -> FlowUpdate:
-    """Poison one maintenance pass so exactly ``shard`` goes degraded."""
+    """Queue a flow update on ``shard``, then fail its audit: it alone degrades."""
     vertex = gateway._to_global[shard][0]
     update = FlowUpdate(vertex, 9.0, timestamp=500.0)
-    with FaultInjector() as injector:
-        injector.fail_at("flow:flow-set", times=-1)
-        outcome = gateway.submit(update)
-    assert outcome.deferred
+    assert gateway.submit(update).applied
+    engine = gateway.shards[shard]
+    engine.index.labels[0][-1] = 1.0  # corrupt a self entry
+    assert not engine.audit().ok
     assert gateway.degraded_shards == (shard,)
     return update
 
@@ -72,7 +71,7 @@ class TestShardRepair:
         verdicts = gateway.repair(shard=2)
         assert verdicts == {2: True}
         assert gateway.degraded_shards == ()
-        # the deferred flow update was folded in by the shard's rebuild
+        # the queued flow update was folded in by the shard's rebuild
         local = gateway._to_local[2][gateway._to_global[2][0]]
         assert gateway.shards[2].index.flows[local] == 9.0
 
@@ -111,15 +110,23 @@ class TestBoundaryTableAfterRecovery:
     """The global boundary table stays equal to the Dijkstra oracle."""
 
     def test_exact_after_repair_with_deferred_weights(self, durable_gateway):
+        # the weight is absorbed and mirrored at submit, so the repair
+        # changes no weight: it rebuilds no boundary table, and the table
+        # stays exact
         gateway = durable_gateway
         u, v, w = intra_edges(gateway, 2)[0]
-        with FaultInjector() as injector:
-            injector.fail_at("ilu:weight-set", times=-1)
-            outcome = gateway.submit(
-                WeightUpdate(u, v, float(w) * 0.65, timestamp=500.0)
-            )
-        assert outcome.deferred and gateway.degraded_shards == (2,)
-        assert gateway.repair(shard=2) == {2: True}
+        outcome = gateway.submit(
+            WeightUpdate(u, v, float(w) * 0.65, timestamp=500.0)
+        )
+        assert outcome.applied and outcome.strategy == "overlay"
+        degrade_shard(gateway, 2)
+        registry = obs.MetricsRegistry(enabled=True)
+        previous = obs.set_registry(registry)
+        try:
+            assert gateway.repair(shard=2) == {2: True}
+        finally:
+            obs.set_registry(previous)
+        assert registry.get("repro_gateway_boundary_rebuilds_total") is None
         assert gateway.frn.graph.weight(u, v) == float(w) * 0.65
         assert_boundary_exact(gateway)
 
@@ -234,9 +241,7 @@ class TestShardRecovery:
         assert snapshot(gateway) == before
 
     def test_gateway_without_durability_dir_rejects_recover(self):
-        gateway = ShardedGateway(
-            make_frn(), num_shards=2, max_retries=0, backoff=0.0
-        )
+        gateway = ShardedGateway(make_frn(), num_shards=2, max_retries=0)
         with pytest.raises(QueryError, match="durability_dir"):
             gateway.recover_shard(0)
 

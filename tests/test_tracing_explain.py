@@ -41,7 +41,6 @@ from repro.obs.flight import FlightRecorder
 from repro.scale.gateway import ShardedGateway
 from repro.serving.engine import ResilientEngine
 from repro.serving.updates import FlowUpdate, WeightUpdate
-from repro.testing.faults import FaultInjector
 
 DOCS = Path(__file__).resolve().parent.parent / "docs" / "OBSERVABILITY.md"
 
@@ -128,7 +127,7 @@ class TestStitchedTrace:
 
     def test_gateway_fork_pool_single_trace(self, tracer, fresh_flight):
         frn = _frn()
-        gateway = ShardedGateway(frn, num_shards=2, max_retries=0, backoff=0.0)
+        gateway = ShardedGateway(frn, num_shards=2, max_retries=0)
         n = frn.num_vertices
         # build the workload with the router itself: 8 queries the shard-0
         # ResilientEngine will serve locally plus 8 boundary-combine
@@ -197,7 +196,7 @@ class TestStitchedTrace:
 
     def test_resilient_engine_query_is_traced(self, tracer):
         frn = _frn(side=5, seed=1)
-        serving = ResilientEngine(frn, max_retries=0, backoff=0.0)
+        serving = ResilientEngine(frn, max_retries=0)
         tracer.events.clear()  # drop the construction-time build spans
         serving.query(FSPQuery(0, 7, 0))
         spans = self._spans(tracer)
@@ -325,7 +324,7 @@ class TestExplain:
 
     def test_resilient_explain_delegates_and_annotates(self):
         frn = _frn(side=5, seed=1)
-        serving = ResilientEngine(frn, max_retries=0, backoff=0.0)
+        serving = ResilientEngine(frn, max_retries=0)
         expected = serving.query(FSPQuery(0, 7, 0))
         explain = serving.explain(0, 7)
         assert explain.engine == "resilient"
@@ -336,7 +335,7 @@ class TestExplain:
 
     def test_gateway_explain_routes_and_remaps(self):
         frn = _frn()
-        gateway = ShardedGateway(frn, num_shards=2, max_retries=0, backoff=0.0)
+        gateway = ShardedGateway(frn, num_shards=2, max_retries=0)
         n = frn.num_vertices
         pairs = [(u, v) for u in range(0, n, 7) for v in range(1, n, 11) if u != v]
         seen_routes = set()
@@ -362,12 +361,12 @@ class TestExplain:
 
     def test_gateway_explain_fallback_on_degraded_shard(self):
         frn = _frn(side=6, seed=5)
-        gateway = ShardedGateway(frn, num_shards=2, max_retries=0, backoff=0.0)
-        with FaultInjector() as injector:
-            injector.fail_at("flow:flow-set", times=10)
-            gateway.submit(FlowUpdate(0, 50.0))
-        assert gateway.degraded_shards
-        victim = gateway.degraded_shards[0]
+        gateway = ShardedGateway(frn, num_shards=2, max_retries=0)
+        victim = gateway.plan.shard(0)
+        shard = gateway.shards[victim]
+        shard.index.labels[0][-1] = 1.0  # corrupt a self entry
+        assert not shard.audit().ok
+        assert gateway.degraded_shards == (victim,)
         u = gateway.plan.members[victim][0]
         v = gateway.plan.members[victim][1]
         explain = gateway.explain(u, v)
@@ -439,7 +438,7 @@ class TestFlightRecorder:
 
     def test_dead_letter_carries_flight_dump(self, fresh_flight):
         frn = _frn(side=5, seed=1)
-        serving = ResilientEngine(frn, max_retries=0, backoff=0.0)
+        serving = ResilientEngine(frn, max_retries=0)
         serving.submit(FlowUpdate(frn.num_vertices + 5, 1.0))
         letter = list(serving.dead_letters)[-1]
         assert letter.flight, "quarantine did not capture a flight dump"
@@ -452,11 +451,10 @@ class TestFlightRecorder:
 
     def test_degraded_transition_captures_flight(self, fresh_flight):
         frn = _frn(side=5, seed=1)
-        serving = ResilientEngine(frn, max_retries=0, backoff=0.0)
+        serving = ResilientEngine(frn, max_retries=0)
         assert serving.last_degraded_flight == ()
-        with FaultInjector() as injector:
-            injector.fail_at("flow:flow-set", times=10)
-            serving.submit(FlowUpdate(0, 77.0))
+        serving.index.labels[0][-1] = 1.0  # corrupt a self entry
+        assert not serving.audit().ok
         assert serving.degraded
         assert serving.last_degraded_flight
         assert any(
@@ -526,7 +524,7 @@ class TestSLOMonitor:
 
     def test_serving_query_feeds_installed_monitor(self, fresh_flight):
         frn = _frn(side=5, seed=1)
-        serving = ResilientEngine(frn, max_retries=0, backoff=0.0)
+        serving = ResilientEngine(frn, max_retries=0)
         monitor = obs.SLOMonitor(objective_seconds=10.0)
         previous = obs_slo.set_slo_monitor(monitor)
         try:
@@ -545,7 +543,7 @@ class TestSLOMonitor:
 class TestSpanTaxonomy:
     def test_workload_spans_pass_lint(self, registry, tracer, fresh_flight):
         frn = _frn(side=6, seed=2)
-        gateway = ShardedGateway(frn, num_shards=2, max_retries=0, backoff=0.0)
+        gateway = ShardedGateway(frn, num_shards=2, max_retries=0)
         n = frn.num_vertices
         queries = [
             FSPQuery((3 * i) % n, (7 * i + 5) % n, 0)
@@ -597,7 +595,7 @@ class TestSpanTaxonomy:
 class TestGatewayShardMetrics:
     def test_route_and_cache_metrics_carry_shard_label(self, registry):
         frn = _frn()
-        gateway = ShardedGateway(frn, num_shards=2, max_retries=0, backoff=0.0)
+        gateway = ShardedGateway(frn, num_shards=2, max_retries=0)
         # find a pair the router provably keeps inside one shard
         members = gateway.plan.members[0]
         routed = None
@@ -631,7 +629,7 @@ class TestGatewayShardMetrics:
 
     def test_query_latency_histogram_per_route_and_shard(self, registry):
         frn = _frn()
-        gateway = ShardedGateway(frn, num_shards=2, max_retries=0, backoff=0.0)
+        gateway = ShardedGateway(frn, num_shards=2, max_retries=0)
         members = gateway.plan.members[1]
         gateway.query(FSPQuery(members[0], members[1], 0))
         hist = registry.get("repro_gateway_query_seconds")
