@@ -2,21 +2,21 @@
 
 An FSPQ query's time goes to candidate collection (Yen spur searches) and
 to the A* heuristic; on the serving benchmark's ``citywide_closed``
-workload (``servebench/``, traced) the flat kernel's collection,
-spur searches included, takes 56% of request time and the heuristic
-table 41%.  Each reference spur search spends most of its time in
-per-vertex Python work: heuristic calls into the oracle, dict-based
-distance maps, and banned-edge set construction that rescans every
-accepted path.  :class:`FlatQueryKernel` is a *path source* that keeps
-the exact algorithm — its stream is **bit-identical** to
-:func:`repro.paths.yen.iter_shortest_paths` driven by an
+workload (``servebench/``, traced, 2 CPUs) the flat kernel's own work,
+spur searches included, takes about 82% of request time and the
+heuristic table (``labeling.hierarchy``) about 14%.  Each reference spur
+search spends most of its time in per-vertex Python work: heuristic
+calls into the oracle, dict-based distance maps, and banned-edge set
+construction that rescans every accepted path.  :class:`FlatQueryKernel`
+is a *path source* that keeps the exact algorithm — its stream is
+**bit-identical** to :func:`repro.paths.yen.iter_shortest_paths` driven by an
 :class:`~repro.paths.astar_search.OracleHeuristic` — but restructures the
 state so the per-vertex work collapses:
 
 * the A* heuristic ``h(v) = dis(v, target)`` becomes one vectorised
-  one-to-all gather (:meth:`HierarchyIndex.distances_to` over the packed
-  :class:`~repro.labeling.arena.LabelArena`) instead of one scalar label
-  scan per visited vertex, cached per target;
+  one-to-all table (:meth:`HierarchyIndex.distances_to`, a top-down bag
+  sweep over the packed :class:`~repro.labeling.arena.LabelArena`)
+  instead of one scalar label scan per visited vertex, cached per target;
 * A* runs on a prebuilt adjacency list (``neighbor_items`` order preserved,
   undirected edge ids precomputed) with stamped distance/parent arrays —
   no dict lookups, no per-search allocation;
@@ -187,9 +187,9 @@ class FlatQueryKernel:
     def h_to(self, target: int) -> list[float]:
         """The admissible heuristic table toward ``target`` (cached).
 
-        One vectorised one-to-all arena gather; entry ``h[v]`` is
+        One vectorised one-to-all table; entry ``h[v]`` is
         bit-identical to ``index.distance(v, target)`` (the documented
-        guarantee of ``distance_many``), so A* pops vertices in exactly
+        guarantee of ``distances_to``), so A* pops vertices in exactly
         the order the scalar ``OracleHeuristic`` search would.  With a
         non-empty overlay the table instead comes from
         :meth:`DeltaOverlay.table_to` — the exact *current* distances,

@@ -14,9 +14,25 @@ stores them flat.  :meth:`pair_distances` then answers thousands of
 (source, target, hub) triples with a handful of numpy gathers and one
 segmented reduction — no Python loop on the hot path.
 
+The one-to-all table ``dis(·, t)`` uses a different kernel.  In the tree
+decomposition, ``bag(x)`` separates ``subtree(x)`` from the rest of the
+graph, so for every ``x`` that is not an ancestor of ``t``
+
+.. math::
+
+    dis(x, t) = \\min_{y \\in bag(x)} \\big( L_x[depth(y)] + dis(y, t) \\big)
+
+where every ``y`` is a shallower ancestor of ``x``, and for an ancestor
+``a`` of ``t`` the value is ``L_t[depth(a)]`` directly.
+:meth:`LabelArena.distances_to` evaluates this top-down, one tree level per
+numpy reduction, over a per-level :class:`SweepPlan` built lazily on the
+first call: O(sum of bag sizes) reads instead of one LCA position row per
+vertex.
+
 The arena is a *snapshot*: it records the index's label version at build
 time, and :meth:`HierarchyIndex.arena` rebuilds it whenever maintenance
-(ILU/ISU/GSU) bumps the version, so a stale arena can never serve a query.
+(ILU/ISU/GSU) bumps the version, so a stale arena (and its plan) can never
+serve a query.
 """
 
 from __future__ import annotations
@@ -24,6 +40,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from repro.errors import IndexStateError
 
 if TYPE_CHECKING:  # avoid a cycle: hierarchy imports this module
     from repro.labeling.hierarchy import HierarchyIndex
@@ -50,6 +68,59 @@ def _pack(arrays: list[np.ndarray], dtype) -> tuple[np.ndarray, np.ndarray]:
     lengths = np.fromiter((len(a) for a in arrays), dtype=np.int64, count=n)
     np.cumsum(lengths, out=offsets[1:])
     return offsets, np.concatenate(arrays).astype(dtype, copy=False)
+
+
+class SweepPlan:
+    """Per-depth rows of the one-to-all recurrence, in depth-sorted order.
+
+    Vertices are renumbered by depth (:attr:`rank`), so tree level ``d``
+    is the contiguous slice ``levels[d - 1][0:2]`` of the sweep's distance
+    buffer.  Each level stores two ``(width, count)``
+    matrices, one column per vertex of the level: the depth-sorted ids of
+    the vertex's bag ancestors and its label entries at those ancestors'
+    depths, ``L_x[depth(y)]``.  A column shorter than the level's widest
+    bag is padded by repeating its last entry, as the padded position
+    matrix does; a duplicate candidate never changes a minimum.
+
+    Attributes
+    ----------
+    rank:
+        ``rank[v]`` is the depth-sorted slot of vertex ``v``.
+    levels:
+        ``levels[d - 1] = (lo, hi, bag, lab)`` for depths ``1..height``.
+    """
+
+    __slots__ = ("rank", "levels")
+
+    def __init__(self, arena: "LabelArena", index: "HierarchyIndex") -> None:
+        depth = index.tree.depth
+        n = arena.num_vertices
+        order = np.argsort(depth, kind="stable")
+        self.rank = np.empty(n, dtype=np.int64)
+        self.rank[order] = np.arange(n, dtype=np.int64)
+        bag_offsets, bag_flat = _pack(index.bag_keys, np.int64)
+        counts = bag_offsets[1:] - bag_offsets[:-1]
+        # label entry of every bag member at its depth, flat like bag_flat
+        owner_label = np.repeat(arena.label_offsets[:-1], counts)
+        bag_lab = arena.label_values_q[owner_label + depth[bag_flat]]
+        bag_slot = self.rank[bag_flat]
+        bounds = np.searchsorted(depth[order], np.arange(int(depth.max()) + 2))
+        self.levels: list[tuple[int, int, np.ndarray, np.ndarray]] = []
+        for d in range(1, len(bounds) - 1):
+            lo, hi = int(bounds[d]), int(bounds[d + 1])
+            verts = order[lo:hi]
+            # every non-root vertex's bag holds at least its parent
+            c = counts[verts]
+            col = np.arange(int(c.max()), dtype=np.int64)
+            idx = bag_offsets[verts] + np.minimum(col[:, None], c - 1)
+            self.levels.append((lo, hi, bag_slot[idx], bag_lab[idx]))
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes owned by the plan."""
+        return self.rank.nbytes + sum(
+            bag.nbytes + lab.nbytes for _, _, bag, lab in self.levels
+        )
 
 
 class LabelArena:
@@ -85,7 +156,10 @@ class LabelArena:
         query arithmetic stays exact (see :attr:`quantized`).  Integer
         gathers sidestep float rounding questions entirely: sums and
         minima of integral float64 values are exact, so the quantized
-        kernel agrees bit for bit with the float path.
+        kernel agrees bit for bit with the float path.  ``label_pad_q``
+        additionally needs the dense ``label_pad`` (``None`` past the
+        :data:`_DENSE_POS_LIMIT` budget); the one-to-all sweep needs only
+        ``label_values_q``.
     anc_offsets, anc_values:
         Root-to-vertex ancestor paths — *shared* with the index's flat
         ancestor storage, not copied.
@@ -106,6 +180,7 @@ class LabelArena:
         "pos_pad",
         "anc_offsets",
         "anc_values",
+        "_plan",
     )
 
     def __init__(self, index: "HierarchyIndex") -> None:
@@ -119,6 +194,7 @@ class LabelArena:
         self.label_values_q, self.label_pad_q = self._quantize()
         self.anc_offsets = index.anc_offsets
         self.anc_values = index.anc_flat
+        self._plan: SweepPlan | None = None
 
     def _pad_positions(self) -> np.ndarray | None:
         n = self.num_vertices
@@ -153,12 +229,14 @@ class LabelArena:
         the float kernel compute identical distances, bit for bit.
         """
         values = self.label_values
-        if self.label_pad is None or values.size == 0:
+        if values.size == 0:
             return None, None
         if not np.all(np.floor(values) == values):
             return None, None
         if float(values.min()) < 0.0 or float(values.max()) >= float(_QUANT_INF):
             return None, None
+        if self.label_pad is None:
+            return values.astype(np.int64), None
         pad_q = np.where(
             np.isfinite(self.label_pad), self.label_pad, float(_QUANT_INF)
         ).astype(np.int64)
@@ -166,7 +244,7 @@ class LabelArena:
 
     @property
     def nbytes(self) -> int:
-        """Bytes owned by the arena.
+        """Bytes owned by the arena, its :class:`SweepPlan` once built.
 
         The shared ancestor arrays are excluded — they belong to (and are
         counted by) the index itself.
@@ -186,21 +264,70 @@ class LabelArena:
                 else 0
             )
             + (self.label_pad_q.nbytes if self.label_pad_q is not None else 0)
+            + (self._plan.nbytes if self._plan is not None else 0)
         )
 
     @property
     def quantized(self) -> bool:
-        """Whether the packed-int fast path is active.
+        """Whether the packed-int kernels are active.
 
         True when every label value is a non-negative integer below the
         sentinel — always the case for integer-weight road networks, where
-        label entries are sums of edge weights.
+        label entries are sums of edge weights.  It selects the one-to-all
+        sweep of :meth:`distances_to`; :meth:`pair_distances` also needs
+        the dense ``label_pad_q``.
         """
-        return self.label_pad_q is not None
+        return self.label_values_q is not None
 
     def label(self, v: int) -> np.ndarray:
         """The packed distance label of ``v`` (a view, no copy)."""
         return self.label_values[self.label_offsets[v]:self.label_offsets[v + 1]]
+
+    def distances_to(
+        self, target: int, index: "HierarchyIndex"
+    ) -> tuple[np.ndarray, int]:
+        """``dis(v, target)`` for every ``v`` by the top-down bag sweep.
+
+        Only for :attr:`quantized` arenas.  ``index`` is the index this
+        arena snapshots; the first call packs its tree depths and bags into
+        the :class:`SweepPlan`.  The ancestors ``a`` of ``target`` are
+        seeded with ``L_t[depth(a)]``; then each level ``d = 1..height``
+        takes ``min over y in bag(x) of L_x[depth(y)] + D[y]`` for all its
+        vertices at once, and the target's ancestor at depth ``d`` is
+        restored right after.  A level whose one vertex is that ancestor
+        is skipped.  Every value is an integer below ``2**42``, so each
+        sum and minimum is exact and the table is bit-identical to
+        ``[index.distance(v, target) for v]``.
+
+        Returns the float64 table and the label entries read: the padded
+        plan cells of the levels visited plus ``target``'s label.
+        """
+        plan = self._plan
+        if plan is None:
+            if index.label_version != self.version:
+                raise IndexStateError("sweep plan needs the arena's own index")
+            plan = self._plan = SweepPlan(self, index)
+        lt = self.label_values_q[
+            self.label_offsets[target]:self.label_offsets[target + 1]
+        ]
+        anc = plan.rank[
+            self.anc_values[self.anc_offsets[target]:self.anc_offsets[target + 1]]
+        ]
+        dt = len(lt) - 1
+        dist = np.empty(self.num_vertices, dtype=np.int64)
+        dist[anc] = lt
+        read = len(lt)
+        reduce_min = np.minimum.reduce
+        for d, (lo, hi, bag, lab) in enumerate(plan.levels, start=1):
+            if d <= dt and hi - lo == 1:
+                continue
+            cand = dist.take(bag)
+            cand += lab
+            reduce_min(cand, axis=0, out=dist[lo:hi])
+            if d <= dt:
+                dist[anc[d]] = lt[d]
+            read += lab.size
+        return dist.take(plan.rank).astype(np.float64), read
 
     def pair_distances(
         self,
@@ -220,8 +347,8 @@ class LabelArena:
         The hot path gathers padded position rows from :attr:`pos_pad` and
         reduces along a rectangular axis — no per-pair expansion at all
         (the pad duplicates each row's last candidate, which cannot change
-        a minimum).  When the arena is :attr:`quantized`, the gather runs
-        over the packed-int rectangular view instead: integer sums and
+        a minimum).  When the arena is :attr:`quantized` and dense, the
+        gather runs over the packed-int view ``label_pad_q``: integer sums and
         minima are exact and the final cast back to float64 is lossless,
         so the result is the same array.  When the dense matrix was over
         budget at build time, a ragged kernel expands each pair's window

@@ -325,37 +325,48 @@ class HierarchyIndex:
         return self.positions[self.lca.query(u, v)]
 
     def distances_to(self, target: int) -> np.ndarray:
-        """Exact distances from *every* vertex to ``target`` in one gather.
+        """Exact distances from *every* vertex to ``target``.
 
-        One batched LCA sweep plus one arena kernel call — the one-to-all
-        primitive the flat query kernel uses to build admissible A*
-        heuristic tables.  Bit-identical to ``[distance(u, target) for u
-        in range(n)]`` because it is exactly :meth:`distance_many` over
-        ``arange(n)``.
+        The one-to-all primitive the flat query kernel uses to build
+        admissible A* heuristic tables.  On a :attr:`LabelArena.quantized`
+        arena it is the top-down bag sweep of
+        :meth:`LabelArena.distances_to`: ``bag(x)`` separates
+        ``subtree(x)`` from the rest of the graph, so ``dis(x, t)`` is the
+        minimum over ``y in bag(x)`` of ``L_x[depth(y)] + dis(y, t)``,
+        one tree level per numpy reduction, O(sum of bag sizes) reads.
+        Non-integral labels take one batched LCA lookup plus
+        :meth:`LabelArena.pair_distances` over ``arange(n)``.  Either way
+        the result is bit-identical to ``[distance(u, target) for u in
+        range(n)]``: the sweep's sums and minima are exact integers, and
+        the gather is exactly :meth:`distance_many`.
         """
         n = self.graph.num_vertices
         if not 0 <= target < n:
             raise QueryError(f"distances_to query on unknown vertex {target}")
-        us = np.arange(n, dtype=np.int64)
-        vs = np.full(n, target, dtype=np.int64)
-        hubs = self.lca.query_many(us, vs)
+        arena = self.arena()
+        if arena.quantized:
+            table, read = arena.distances_to(target, self)
+        else:
+            us = np.arange(n, dtype=np.int64)
+            vs = np.full(n, target, dtype=np.int64)
+            table = arena.pair_distances(us, vs, self.lca.query_many(us, vs))
+            width = (
+                arena.pos_pad.shape[1]
+                if arena.pos_pad is not None
+                else len(arena.pos_values)
+            )
+            read = 2 * n * int(width)
         registry = obs.get_registry()
         if registry.enabled:
             registry.counter(
                 "repro_label_pairs_batched_total",
                 "vertex pairs answered by the vectorised arena kernel",
             ).inc(n)
-            arena = self.arena()
-            width = (
-                arena.pos_pad.shape[1]
-                if arena.pos_pad is not None
-                else len(arena.pos_values)
-            )
             registry.counter(
                 "repro_label_gather_entries_total",
-                "label entries gathered by one-to-all distance sweeps",
-            ).inc(2 * n * int(width))
-        return self.arena().pair_distances(us, vs, hubs)
+                "label entries read by one-to-all distance sweeps",
+            ).inc(read)
+        return table
 
     def path(self, u: int, v: int) -> list[int]:
         """A concrete shortest path ``u .. v`` (unpacking label shortcuts)."""

@@ -5,10 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.baselines.dijkstra import dijkstra_distances
 from repro.core.fahl import FAHLIndex
 from repro.core.maintenance import apply_flow_update, apply_weight_update
 from repro.errors import QueryError
+from repro.labeling import arena as arena_module
 from repro.labeling.h2h import build_h2h
 
 
@@ -173,3 +175,72 @@ class TestIndexSizeBytes:
         # a stale arena must not be counted
         index.refresh_labels()
         assert index.index_size_bytes() == before
+
+    def test_includes_built_sweep_plan(self, small_grid):
+        index = build_h2h(small_grid)
+        before = index.index_size_bytes()
+        arena = index.arena()
+        unplanned = arena.nbytes
+        index.distances_to(0)
+        plan = arena._plan
+        assert plan is not None and plan.nbytes > 0
+        assert arena.nbytes == unplanned + plan.nbytes
+        assert index.index_size_bytes() == before + arena.nbytes
+        # the clone drops the arena, and the plan goes with it
+        twin = index.clone()
+        assert twin._arena is None
+        assert twin.index_size_bytes() == before
+
+
+class TestSweep:
+    """The one-to-all bag sweep behind ``distances_to``."""
+
+    def test_plan_built_once_per_version(self, small_grid):
+        index = build_h2h(small_grid)
+        index.distances_to(3)
+        plan = index.arena()._plan
+        index.distances_to(7)
+        assert index.arena()._plan is plan
+        index.refresh_labels()
+        assert index.arena()._plan is None
+
+    def test_past_dense_pad_budget(self, small_grid, monkeypatch):
+        """Without the dense pads the arena still quantises and sweeps."""
+        monkeypatch.setattr(arena_module, "_DENSE_POS_LIMIT", 1)
+        index = build_h2h(small_grid)
+        arena = index.arena()
+        assert arena.pos_pad is None and arena.label_pad_q is None
+        assert arena.quantized
+        n = small_grid.num_vertices
+        for t in range(n):
+            expected = np.asarray([index.distance(u, t) for u in range(n)])
+            assert np.array_equal(index.distances_to(t), expected), t
+        assert arena._plan is not None
+
+    @staticmethod
+    def expected_reads(index, target):
+        """Padded plan cells of the levels the sweep visits, plus L_t."""
+        depth = index.tree.depth
+        dt = int(depth[target])
+        reads = dt + 1
+        for d in range(1, int(depth.max()) + 1):
+            level = np.flatnonzero(depth == d)
+            if d <= dt and len(level) == 1:
+                continue  # the target's ancestor alone: skipped
+            reads += len(level) * max(len(index.bag_keys[v]) for v in level)
+        return reads
+
+    def test_gather_counter_counts_sweep_reads(self, small_grid):
+        index = build_h2h(small_grid)
+        registry = obs.MetricsRegistry(enabled=True)
+        previous = obs.set_registry(registry)
+        try:
+            counter = registry.counter("repro_label_gather_entries_total")
+            index.distances_to(0)
+            assert counter.total() == 130
+            for t in range(small_grid.num_vertices):
+                before = counter.total()
+                index.distances_to(t)
+                assert counter.total() - before == self.expected_reads(index, t)
+        finally:
+            obs.set_registry(previous)

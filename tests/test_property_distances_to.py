@@ -1,0 +1,92 @@
+"""Property tests: the one-to-all table ``distances_to`` is exact.
+
+On integer labels ``HierarchyIndex.distances_to`` runs the top-down bag
+sweep over the arena's per-level plan; on non-integral labels it keeps the
+batched LCA + pair gather.  Either way every entry must equal the scalar
+``distance`` loop bit for bit and match Dijkstra — including right after
+ILU, ISU and GSU, whose version bump must drop the plan built before them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.baselines.dijkstra import dijkstra_distances
+from repro.core.fahl import FAHLIndex
+from repro.core.maintenance import apply_flow_update, apply_weight_update
+from repro.graph.road_network import RoadNetwork
+from repro.labeling.h2h import build_h2h
+from tests.strategies import connected_graphs
+
+
+def assert_tables_exact(index, graph) -> None:
+    n = graph.num_vertices
+    for t in range(n):
+        got = index.distances_to(t)
+        scalar = np.asarray([index.distance(u, t) for u in range(n)])
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), scalar.view(np.int64)), t
+        assert np.array_equal(got, dijkstra_distances(graph, t)), t
+
+
+@given(graph=connected_graphs(max_vertices=20))
+def test_sweep_equals_scalar_loop_and_dijkstra(graph):
+    index = build_h2h(graph)
+    assert index.arena().quantized
+    assert_tables_exact(index, graph)
+
+
+@given(graph=connected_graphs(min_vertices=4, max_vertices=14), data=st.data())
+def test_sweep_exact_after_ilu(graph, data):
+    index = build_h2h(graph)
+    index.distances_to(0)  # build the plan so the update must drop it
+    edges = list(graph.edges())
+    for _ in range(data.draw(st.integers(1, 4))):
+        u, v, _ = edges[data.draw(st.integers(0, len(edges) - 1))]
+        apply_weight_update(index, u, v, float(data.draw(st.integers(1, 40))))
+    assert_tables_exact(index, graph)
+
+
+@given(
+    graph=connected_graphs(min_vertices=4, max_vertices=14),
+    method=st.sampled_from(["isu", "gsu"]),
+    data=st.data(),
+)
+def test_sweep_exact_after_structure_updates(graph, method, data):
+    n = graph.num_vertices
+    flows = np.array(
+        [data.draw(st.integers(0, 100)) for _ in range(n)], dtype=float
+    )
+    index = FAHLIndex(graph, flows, beta=0.5)
+    index.distances_to(n - 1)  # build the plan so the update must drop it
+    for _ in range(data.draw(st.integers(1, 4))):
+        vertex = data.draw(st.integers(0, n - 1))
+        new_flow = float(data.draw(st.integers(0, 300)))
+        apply_flow_update(index, vertex, new_flow, method=method)
+    assert_tables_exact(index, graph)
+
+
+def test_non_integral_weights_take_pair_gather():
+    graph = RoadNetwork(
+        5,
+        edges=[
+            (0, 1, 1.25),
+            (1, 2, 0.5),
+            (2, 3, 2.75),
+            (3, 4, 1.5),
+            (0, 4, 3.1),
+            (1, 3, 2.2),
+        ],
+    )
+    index = build_h2h(graph)
+    arena = index.arena()
+    assert not arena.quantized
+    n = graph.num_vertices
+    for t in range(n):
+        got = index.distances_to(t)
+        scalar = np.asarray([index.distance(u, t) for u in range(n)])
+        assert np.array_equal(got.view(np.int64), scalar.view(np.int64)), t
+        assert np.allclose(got, dijkstra_distances(graph, t))
+    assert arena._plan is None
