@@ -113,13 +113,12 @@ def _record_batch(report: BatchReport, num_queries: int) -> None:
         ).inc(report.recovered_chunks)
 
 
-def _observe_chunk(mode: str, seconds: float) -> None:
-    registry = obs.get_registry()
-    if registry.enabled:
-        registry.histogram(
-            "repro_batch_chunk_seconds",
-            "per-chunk wall time by execution mode",
-        ).observe(seconds, mode=mode)
+def _chunk_timer(mode: str) -> obs.Span:
+    return obs.stopwatch(
+        "repro_batch_chunk_seconds",
+        help="per-chunk wall time by execution mode",
+        mode=mode,
+    )
 
 
 def _count_chunk_failure(kind: str) -> None:
@@ -282,12 +281,11 @@ def _run_parallel(
                 except Exception:
                     failed.append(i)
                 continue
-            wait_start = time.perf_counter()
             try:
-                pairs.extend(
-                    _absorb(handle.get(max(0.0, deadline - time.monotonic())))
-                )
-                _observe_chunk("parallel", time.perf_counter() - wait_start)
+                with _chunk_timer("parallel"):
+                    pairs.extend(
+                        _absorb(handle.get(max(0.0, deadline - time.monotonic())))
+                    )
                 # chunks run concurrently: give the next handle a fresh
                 # window from the moment we start waiting on it.
                 deadline = time.monotonic() + chunk_timeout
@@ -317,9 +315,8 @@ def _run_parallel(
         pool.join()
 
     for i in failed:
-        recover_start = time.perf_counter()
-        pairs.extend(_evaluate_chunk(engine, chunks[i]))
-        _observe_chunk("recovered", time.perf_counter() - recover_start)
+        with _chunk_timer("recovered"):
+            pairs.extend(_evaluate_chunk(engine, chunks[i]))
     report.recovered_chunks = len(failed)
     report.mode = "parallel-recovered" if failed else "parallel"
     return pairs
@@ -361,49 +358,31 @@ def batch_query(
         report = BatchReport()
     if not queries:
         return []
-    if obs.get_tracer() is not None:
-        # one request scope per batch: serial spans nest in-process, pool
-        # chunks carry the context across the fork via current_wire()
-        with obs_context.request_scope():
-            with obs.trace(
-                "batch.query", queries=len(queries), workers=workers
-            ):
-                return _batch_query_impl(
-                    engine, queries, workers, chunk_timeout, report
-                )
-    return _batch_query_impl(engine, queries, workers, chunk_timeout, report)
+    # one front door per batch: serial spans nest in-process, pool chunks
+    # carry the request context across the fork via current_wire()
+    with obs.front_door("batch.query", queries=len(queries), workers=workers):
+        order = sorted(
+            range(len(queries)),
+            key=lambda i: (queries[i].target, queries[i].timestep),
+        )
+        indexed = [(i, queries[i]) for i in order]
+        results: list[FSPResult | None] = [None] * len(queries)
 
+        if workers > 1 and len(queries) > 1:
+            pairs = _run_parallel(engine, indexed, workers, chunk_timeout, report)
+            if pairs is not None:
+                for position, result in pairs:
+                    results[position] = result
+                _record_batch(report, len(queries))
+                return results  # type: ignore[return-value]
+        elif workers > 1:
+            report.fallback_reason = "single-query"
+        else:
+            report.fallback_reason = "workers<=1"
 
-def _batch_query_impl(
-    engine: FlowAwareEngine,
-    queries: list[FSPQuery],
-    workers: int,
-    chunk_timeout: float,
-    report: BatchReport,
-) -> list[FSPResult]:
-    order = sorted(
-        range(len(queries)),
-        key=lambda i: (queries[i].target, queries[i].timestep),
-    )
-    indexed = [(i, queries[i]) for i in order]
-    results: list[FSPResult | None] = [None] * len(queries)
-
-    if workers > 1 and len(queries) > 1:
-        pairs = _run_parallel(engine, indexed, workers, chunk_timeout, report)
-        if pairs is not None:
-            for position, result in pairs:
+        report.mode = "serial"
+        with _chunk_timer("serial"):
+            for position, result in _evaluate_chunk(engine, indexed):
                 results[position] = result
-            _record_batch(report, len(queries))
-            return results  # type: ignore[return-value]
-    elif workers > 1:
-        report.fallback_reason = "single-query"
-    else:
-        report.fallback_reason = "workers<=1"
-
-    report.mode = "serial"
-    serial_start = time.perf_counter()
-    for position, result in _evaluate_chunk(engine, indexed):
-        results[position] = result
-    _observe_chunk("serial", time.perf_counter() - serial_start)
-    _record_batch(report, len(queries))
-    return results  # type: ignore[return-value]
+        _record_batch(report, len(queries))
+        return results  # type: ignore[return-value]

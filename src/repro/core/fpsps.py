@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import time
 
 import numpy as np
 
@@ -395,20 +394,18 @@ class FlowAwareEngine:
         registry = obs.get_registry()
         if not registry.enabled and obs.get_tracer() is None:
             return self._query_impl(query)
-        start = time.perf_counter()
         with obs.trace(
             "fpsps.query",
+            metric="repro_query_seconds",
+            help="FSPQ query latency",
+            labels={"pruning": self.pruning},
             src=query.source,
             dst=query.target,
             t=query.timestep,
             pruning=self.pruning,
         ):
             result = self._query_impl(query)
-        elapsed = time.perf_counter() - start
         if registry.enabled:
-            registry.histogram(
-                "repro_query_seconds", "FSPQ query latency"
-            ).observe(elapsed, pruning=self.pruning)
             registry.counter(
                 "repro_queries_total", "FSPQ queries evaluated"
             ).inc(pruning=self.pruning)
@@ -453,23 +450,23 @@ class FlowAwareEngine:
         query = FSPQuery(source, target, timestep).validated(
             self.frn.num_vertices, self.frn.num_timesteps
         )
-        stages: dict[str, float] = {}
         capture = obs.MetricsRegistry(enabled=True)
-        t_total = time.perf_counter()
-        with obs.capture_registry(capture):
+        with obs.stopwatch() as total, obs.capture_registry(capture):
             kern = self._flat_kernel()
             kern_before = dict(kern.stats) if kern is not None else None
             # probe SPDis separately so the heuristic-table/oracle work is
             # attributed to its own stage; the evaluation below hits the
             # warm caches and times enumeration + scoring alone
-            t0 = time.perf_counter()
-            if source != target:
-                self.shortest_distance(source, target)
-            stages["spdis"] = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            result = self._query_impl(query)
-            stages["evaluate"] = time.perf_counter() - t0
-        stages["total"] = time.perf_counter() - t_total
+            with obs.stopwatch() as spdis:
+                if source != target:
+                    self.shortest_distance(source, target)
+            with obs.stopwatch() as evaluate:
+                result = self._query_impl(query)
+        stages = {
+            "spdis": spdis.seconds,
+            "evaluate": evaluate.seconds,
+            "total": total.seconds,
+        }
         snapshot = capture.snapshot()
 
         oracle = self.oracle

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -315,8 +314,7 @@ def apply_weight_update(
         raise GraphError(f"edge weight must be positive, got {new_weight}")
     if not graph.has_edge(u, v):
         raise EdgeNotFoundError(u, v)
-    start = time.perf_counter()
-    with obs.trace("maintenance.weight_update", u=u, v=v):
+    with obs.trace("maintenance.weight_update", u=u, v=v) as span:
         if not transactional:
             stats = _ilu_impl(index, u, v, new_weight, prior_weight=prior_weight)
         else:
@@ -332,7 +330,7 @@ def apply_weight_update(
             stats = _transactional("apply_weight_update", index, body)
     _record_maintenance(
         "ilu",
-        time.perf_counter() - start,
+        span.seconds,
         labels_affected=stats.labels_affected,
         shortcuts_changed=stats.shortcuts_changed,
     )
@@ -624,8 +622,7 @@ def apply_flow_update(
     n = index.graph.num_vertices
     if not 0 <= vertex < n:
         raise IndexStateError(f"unknown vertex {vertex}")
-    start = time.perf_counter()
-    with obs.trace("maintenance.flow_update", vertex=vertex, method=method):
+    with obs.trace("maintenance.flow_update", vertex=vertex, method=method) as span:
         if not transactional:
             stats = _flow_update_impl(index, vertex, new_flow, method)
         else:
@@ -636,7 +633,7 @@ def apply_flow_update(
             )
     _record_maintenance(
         stats.strategy,
-        time.perf_counter() - start,
+        span.seconds,
         labels_affected=stats.labels_affected,
         bags_rebuilt=stats.bags_rebuilt,
     )

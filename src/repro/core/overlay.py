@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
@@ -173,27 +172,29 @@ class DeltaOverlay:
         old_weight = graph.weight(u, v)
         if new_weight == old_weight:
             return False
-        start = time.perf_counter()
-        lo, hi = _edge_key(u, v)
-        graph.set_weight(u, v, new_weight)
-        entry = self.edges.get((lo, hi))
-        if entry is None:
-            self.edges[(lo, hi)] = OverlayEdge(lo, hi, old_weight, new_weight)
-        else:
-            # keep the entry even when the edge returns to its stable weight:
-            # a concurrent consolidation may already have folded a different
-            # value for it, and the rebase bookkeeping needs the record.  A
-            # ``current == stable`` entry is dropped at the next rebase and
-            # is harmless meanwhile (the hub term still covers its paths).
-            entry.current = new_weight
-        # repair rows that existed before this change, then add new hubs
-        # (computed on the already-updated graph, hence exact as-is)
-        self._repair_rows(lo, hi, old_weight, new_weight)
-        self._ensure_hub(lo)
-        self._ensure_hub(hi)
-        self._matrix = None
-        self.version += 1
-        self.absorbed_total += 1
+        with obs.stopwatch(
+            "repro_overlay_ingest_seconds", help="overlay absorb latency"
+        ):
+            lo, hi = _edge_key(u, v)
+            graph.set_weight(u, v, new_weight)
+            entry = self.edges.get((lo, hi))
+            if entry is None:
+                self.edges[(lo, hi)] = OverlayEdge(lo, hi, old_weight, new_weight)
+            else:
+                # keep the entry even when the edge returns to its stable weight:
+                # a concurrent consolidation may already have folded a different
+                # value for it, and the rebase bookkeeping needs the record.  A
+                # ``current == stable`` entry is dropped at the next rebase and
+                # is harmless meanwhile (the hub term still covers its paths).
+                entry.current = new_weight
+            # repair rows that existed before this change, then add new hubs
+            # (computed on the already-updated graph, hence exact as-is)
+            self._repair_rows(lo, hi, old_weight, new_weight)
+            self._ensure_hub(lo)
+            self._ensure_hub(hi)
+            self._matrix = None
+            self.version += 1
+            self.absorbed_total += 1
         registry = obs.get_registry()
         if registry.enabled:
             registry.counter(
@@ -205,9 +206,6 @@ class DeltaOverlay:
             registry.gauge(
                 "repro_overlay_hubs", "overlay hub vectors held"
             ).set(len(self._hub_ids))
-            registry.histogram(
-                "repro_overlay_ingest_seconds", "overlay absorb latency"
-            ).observe(time.perf_counter() - start)
         return True
 
     def _ensure_hub(self, x: int) -> None:
@@ -685,7 +683,12 @@ class ConsolidationTask:
         self._pending_flows: deque[tuple[int, float]] = deque(
             sorted((flow_updates or {}).items()) if has_flows else ()
         )
-        self.started = time.perf_counter()
+        # begun here, ended at the swap commit: the interval spans every
+        # cooperative step in between
+        self._lifetime = obs.stopwatch(
+            "repro_overlay_consolidation_seconds",
+            help="wall time from consolidation start to swap commit",
+        ).begin()
         self.steps = 0
 
     # ------------------------------------------------------------------
@@ -749,29 +752,23 @@ class ConsolidationTask:
                 # rebase (still pure, still before any assignment) so the
                 # fresh entry survives the swap
                 self._rebase_state = self.overlay.prepare_rebase(self.consolidated)
-            swap_start = time.perf_counter()
             # the atomic swap: nothing below can raise before the commit
             # checkpoint — attribute/dict assignments only
-            self.back.graph = self.index.graph
-            if self.on_commit is not None:
-                self.on_commit(self.back)
-            self.overlay.commit_rebase(self._rebase_state)
-            self.committed = True
-            self.state = "done"
-            registry = obs.get_registry()
-            if registry.enabled:
-                registry.histogram(
-                    "repro_overlay_swap_seconds",
-                    "duration of the atomic pointer swap itself",
-                ).observe(time.perf_counter() - swap_start)
-                registry.histogram(
-                    "repro_overlay_consolidation_seconds",
-                    "wall time from consolidation start to swap commit",
-                ).observe(time.perf_counter() - self.started)
-                registry.counter(
-                    "repro_overlay_consolidations_total",
-                    "background consolidation swaps committed",
-                ).inc()
+            with obs.stopwatch(
+                "repro_overlay_swap_seconds",
+                help="duration of the atomic pointer swap itself",
+            ):
+                self.back.graph = self.index.graph
+                if self.on_commit is not None:
+                    self.on_commit(self.back)
+                self.overlay.commit_rebase(self._rebase_state)
+                self.committed = True
+                self.state = "done"
+            self._lifetime.end()
+            obs.counter(
+                "repro_overlay_consolidations_total",
+                "background consolidation swaps committed",
+            ).inc()
             _checkpoint("consolidate:swap-committed")
         return self.state
 

@@ -29,7 +29,6 @@ import hashlib
 import json
 import os
 import shutil
-import time
 from pathlib import Path
 
 from repro import obs
@@ -237,64 +236,61 @@ class Durability:
         """
         from repro.labeling.serialize import save_index
 
-        start = time.perf_counter()
-        self.wal.sync()  # barrier: the log covers everything acked so far
-        generation = self.generation + 1
-        directory = self.checkpoint_dir(generation)
-        crash_point("checkpoint:start")
-        if directory.exists():
-            # debris from a previously killed attempt at this generation
-            shutil.rmtree(directory)
-        directory.mkdir(parents=True)
-        index_path = directory / "index.npz"
-        save_index(engine.index, index_path)
-        _fsync_path(index_path)
-        crash_point("checkpoint:index-written")
-        state_path = directory / "state.json"
-        state_bytes = json.dumps(engine_state(engine), indent=1).encode()
-        with open(state_path, "wb") as handle:
-            handle.write(state_bytes)
-            handle.flush()
-            os.fsync(handle.fileno())
-        crash_point("checkpoint:state-written")
-        manifest = {
-            "format": _STATE_FORMAT,
-            "generation": generation,
-            "files": {
-                "index.npz": _file_digest(index_path),
-                "state.json": _file_digest(state_path),
-            },
-            "wal": self.wal_path(generation).name,
-        }
-        tmp_path = directory / (MANIFEST + ".tmp")
-        with open(tmp_path, "wb") as handle:
-            handle.write(json.dumps(manifest, indent=1).encode())
-            handle.flush()
-            os.fsync(handle.fileno())
-        crash_point("checkpoint:manifest")
-        os.replace(tmp_path, directory / MANIFEST)
-        _fsync_path(directory)
-        crash_point("checkpoint:rotate")
-        old_wal = self.wal
-        self.wal = WriteAheadLog(
-            self.wal_path(generation), fsync=self.fsync,
-            fsync_every=self.fsync_every,
-        )
-        old_wal.close()
-        self.generation = generation
-        self.updates_since_checkpoint = 0
-        self._prune()
-        self._sync_lag_gauge()
-        registry = obs.get_registry()
-        if registry.enabled:
-            registry.counter(
-                "repro_durability_checkpoints_total",
-                "checkpoint generations written",
-            ).inc()
-            registry.histogram(
-                "repro_durability_checkpoint_seconds",
-                "wall time to write one checkpoint generation",
-            ).observe(time.perf_counter() - start)
+        with obs.stopwatch(
+            "repro_durability_checkpoint_seconds",
+            help="wall time to write one checkpoint generation",
+        ):
+            self.wal.sync()  # barrier: the log covers everything acked so far
+            generation = self.generation + 1
+            directory = self.checkpoint_dir(generation)
+            crash_point("checkpoint:start")
+            if directory.exists():
+                # debris from a previously killed attempt at this generation
+                shutil.rmtree(directory)
+            directory.mkdir(parents=True)
+            index_path = directory / "index.npz"
+            save_index(engine.index, index_path)
+            _fsync_path(index_path)
+            crash_point("checkpoint:index-written")
+            state_path = directory / "state.json"
+            state_bytes = json.dumps(engine_state(engine), indent=1).encode()
+            with open(state_path, "wb") as handle:
+                handle.write(state_bytes)
+                handle.flush()
+                os.fsync(handle.fileno())
+            crash_point("checkpoint:state-written")
+            manifest = {
+                "format": _STATE_FORMAT,
+                "generation": generation,
+                "files": {
+                    "index.npz": _file_digest(index_path),
+                    "state.json": _file_digest(state_path),
+                },
+                "wal": self.wal_path(generation).name,
+            }
+            tmp_path = directory / (MANIFEST + ".tmp")
+            with open(tmp_path, "wb") as handle:
+                handle.write(json.dumps(manifest, indent=1).encode())
+                handle.flush()
+                os.fsync(handle.fileno())
+            crash_point("checkpoint:manifest")
+            os.replace(tmp_path, directory / MANIFEST)
+            _fsync_path(directory)
+            crash_point("checkpoint:rotate")
+            old_wal = self.wal
+            self.wal = WriteAheadLog(
+                self.wal_path(generation), fsync=self.fsync,
+                fsync_every=self.fsync_every,
+            )
+            old_wal.close()
+            self.generation = generation
+            self.updates_since_checkpoint = 0
+            self._prune()
+            self._sync_lag_gauge()
+        obs.counter(
+            "repro_durability_checkpoints_total",
+            "checkpoint generations written",
+        ).inc()
         return generation
 
     def maybe_checkpoint(self, engine) -> int | None:

@@ -39,7 +39,6 @@ the overlay like any other acknowledged update.
 from __future__ import annotations
 
 import json
-import time
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -186,7 +185,9 @@ def recover(
     Returns the recovered engine with a fresh durability manager attached
     and the :class:`RecoveryReport` available as ``engine.last_recovery``.
     """
-    start = time.perf_counter()
+    clock = obs.stopwatch(
+        "repro_durability_recovery_seconds", help="wall time of one recover() run"
+    ).begin()
     obs_flight.note("durability.recover", path=str(path))
     if not Path(path).is_dir():
         # a Durability manager always creates its root eagerly, so a
@@ -306,7 +307,7 @@ def recover(
     if checkpoint_on_recover:
         durability.checkpoint(engine)
 
-    duration = time.perf_counter() - start
+    duration = clock.end()
     report = RecoveryReport(
         generation=used_generation,
         fallback_generations=fallbacks,
@@ -338,8 +339,4 @@ def recover(
             "repro_durability_replayed_total",
             "WAL records re-applied during recovery, by kind",
         ).inc(dlq_replayed, kind="dlq")
-        registry.histogram(
-            "repro_durability_recovery_seconds",
-            "wall time of one recover() run",
-        ).observe(duration)
     return engine

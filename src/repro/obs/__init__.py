@@ -30,8 +30,9 @@ Usage::
     ... run queries / maintenance ...
     print(obs.render_prometheus(obs.get_registry()))
 
-    with obs.trace("fpsps.query", src=0, dst=9):   # spans, when a tracer is on
+    with obs.trace("fpsps.query", src=0, dst=9) as span:   # the one timer
         engine.query(q)
+    span.seconds                       # always measured; traced when a tracer is on
 
 The CLI front door is ``fahl-repro obs report`` (human table + optional
 Prometheus/JSONL exports) and ``fahl-repro obs lint`` (the CI gate).
@@ -40,6 +41,7 @@ Prometheus/JSONL exports) and ``fahl-repro obs lint`` (the CI gate).
 from __future__ import annotations
 
 import contextlib
+import warnings
 from contextvars import ContextVar
 from typing import Iterator
 
@@ -82,19 +84,21 @@ from repro.obs.slo import (
     set_slo_monitor,
 )
 from repro.obs.trace import (
+    FrontDoor,
     Span,
-    Stopwatch,
     Tracer,
+    _timed,
+    front_door,
     get_tracer,
     set_tracer,
     stopwatch,
-    timed,
     trace,
 )
 
 __all__ = [
     "Counter",
     "FlightRecorder",
+    "FrontDoor",
     "Gauge",
     "Histogram",
     "LatencyRecorder",
@@ -106,7 +110,6 @@ __all__ = [
     "SPAN_CATALOGUE",
     "SPAN_NAME_RE",
     "Span",
-    "Stopwatch",
     "Tracer",
     "activate_wire",
     "capture_registry",
@@ -116,6 +119,7 @@ __all__ = [
     "default_latency_buckets",
     "disable",
     "enable",
+    "front_door",
     "gauge",
     "get_flight",
     "get_registry",
@@ -134,11 +138,32 @@ __all__ = [
     "set_slo_monitor",
     "set_tracer",
     "stopwatch",
-    "timed",
     "trace",
     "use_context",
     "write_snapshot_jsonl",
 ]
+
+#: deprecated names (docs/API.md, "Deprecation policy"): they warn for
+#: one cycle, then go
+_DEPRECATED = {
+    "Stopwatch": (
+        Span,
+        "obs.Stopwatch is deprecated: obs.stopwatch() returns an obs.Span",
+    ),
+    "timed": (
+        _timed,
+        "obs.timed is deprecated: wrap the body in `with obs.stopwatch(...)`",
+    ),
+}
+
+
+def __getattr__(name: str):
+    if name in _DEPRECATED:
+        value, message = _DEPRECATED[name]
+        warnings.warn(message, DeprecationWarning, stacklevel=2)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 #: The process-default registry.  Starts *disabled*: every instrumented
 #: path checks ``get_registry().enabled`` (or receives a null instrument)

@@ -1,4 +1,4 @@
-"""Request-scoped trace context, propagated across process boundaries.
+"""Request-scoped trace context and the serving front doors.
 
 A :class:`RequestContext` carries one request's identity — request id,
 trace id, the span to parent remote work under, and an optional wall-clock
@@ -13,9 +13,19 @@ parent deterministically under the serialized span id.
 
 Rules (also documented in ``docs/OBSERVABILITY.md``):
 
-* Entry points (gateway/serving ``query``/``batch``) open a scope with
-  :func:`request_scope` **only when a tracer is installed** — the traced
-  path pays one contextvar read, the untraced path pays nothing.
+* Entry points — ``ResilientEngine.query``/``batch``,
+  ``ShardedGateway.query``/``batch``, ``batch_query`` and the
+  ``AsyncGateway`` window and requests — enter through
+  :func:`repro.obs.front_door`: one
+  :class:`~repro.obs.trace.FrontDoor` span that times the call and opens
+  a request scope **only when a tracer is installed** (the untraced path
+  mints no context and sets no context variable).
+* A request front door (``request=True``) writes a slow-query digest into
+  the flight recorder when it closes, and — only when it is the
+  outermost front door open on the thread — the request's one SLO
+  sample.
+  A request that crosses three layers burns error budget once.  Batch
+  front doors write neither.
 * Interior layers never create contexts; they inherit whatever scope the
   entry point opened (or none).
 * Wire dicts are one-shot: activate, run, and let the scope close.  Span
@@ -97,9 +107,9 @@ def request_scope(
 ) -> Iterator[RequestContext]:
     """Reuse the active context, or open a fresh root scope.
 
-    This is the entry-point primitive: idempotent under nesting, so a
-    gateway query that lands on a shard engine (which also calls
-    ``request_scope``) still yields exactly one trace id.
+    What a traced :func:`repro.obs.front_door` does on entry, for code
+    outside the serving stack.  Idempotent under nesting, so nested
+    scopes still yield exactly one trace id.
     """
     ctx = _REQUEST_CTX.get()
     if ctx is not None:

@@ -27,7 +27,6 @@ __all__ = [
     "dump",
     "get_flight",
     "note",
-    "observe_query",
     "record_event",
     "set_flight",
 ]
@@ -152,12 +151,6 @@ def note(name: str, **attrs: object) -> None:
     recorder = _FLIGHT
     if recorder is not None:
         recorder.note(name, **attrs)
-
-
-def observe_query(name: str, seconds: float, **attrs: object) -> None:
-    recorder = _FLIGHT
-    if recorder is not None:
-        recorder.observe_query(name, seconds, **attrs)
 
 
 def dump(last: int | None = None, seconds: float | None = None) -> tuple[dict, ...]:

@@ -1,21 +1,35 @@
-"""Span tracing and timing helpers.
+"""Spans: the one timing primitive of the stack.
 
-A :class:`Tracer` turns ``with trace("fpsps.query", src=u, dst=v):`` blocks
-into JSON-lines span events with nested span ids (parentage tracked through
-a :mod:`contextvars` stack, so nesting survives threads and generators).
-When no tracer is installed ``trace()`` returns a shared no-op span — the
-disabled cost is one global read and a ``None`` check.
+Every timed block in ``repro`` is a :class:`Span`::
 
-Two derived helpers cover the common shapes:
+    with obs.trace("fpsps.query", metric="repro_query_seconds",
+                   labels={"pruning": p}, src=u, dst=v) as span:
+        ...
+    span.seconds
 
-* :func:`timed` — decorator recording a function's wall time into a
-  ``*_seconds`` histogram of the active registry and emitting a span.
-* :func:`stopwatch` — context manager that **always** measures (the
-  experiment harness needs the number for its tables regardless of
-  telemetry state) and additionally records a histogram observation and/or
-  a span when telemetry is on.  This is the single timing implementation
-  behind every ``time.perf_counter()`` pair that used to be inlined in
-  ``repro.experiments``.
+A span does three things:
+
+* it **always measures** its own ``seconds`` (monotonic clock), so callers
+  that need the number — the experiment tables, ``explain()``'s stage
+  timings, recovery reports — read it whatever the telemetry state;
+* it **emits a span event** (JSON lines, nested span ids tracked through a
+  :mod:`contextvars` stack, so nesting survives threads and generators)
+  only when a :class:`Tracer` is installed;
+* on a clean exit it **records the histogram it names** (``metric``) with
+  its ``labels`` when the active registry is enabled.  Labels are kept
+  apart from the event attributes and may be set after entry with
+  :meth:`Span.label` — a gateway learns its route only at the end.
+
+A span with no name times and records but never emits: that is what
+:func:`stopwatch` (``with obs.stopwatch(metric=..., span=...) as sw``)
+returns when no ``span`` name is given.  An interval that is not one
+block (enqueue → resolve) uses :meth:`Span.begin` and :meth:`Span.end`
+instead of ``with``; it then never joins the span stack.
+
+Serving entry points open a :class:`FrontDoor` (:func:`front_door`) — a
+span that also opens the request scope when traced, writes the
+slow-query digest and, when outermost, the request's one SLO sample (the
+entry-point rules are in :mod:`repro.obs.context`).
 
 Span names are dotted lowercase (``layer.operation``); the taxonomy is
 catalogued in ``docs/OBSERVABILITY.md``.
@@ -32,100 +46,210 @@ import threading
 import time
 from typing import Callable, IO
 
+import repro.obs as _obs
 from repro.obs import flight as _flight
+from repro.obs import slo as _slo
 
-__all__ = ["Span", "Tracer", "stopwatch", "timed", "trace"]
+__all__ = ["FrontDoor", "Span", "Tracer", "front_door", "stopwatch", "trace"]
 
 _SPAN_STACK: contextvars.ContextVar[tuple[str, ...]] = contextvars.ContextVar(
     "repro_obs_span_stack", default=()
 )
 
 #: the active request context (a ``repro.obs.context.RequestContext``);
-#: lives here so Span.__exit__ can stamp trace/request ids without a
-#: circular import (``context`` builds its helpers on top of this var)
+#: lives here so a span can stamp trace/request ids without a circular
+#: import (``context`` builds its helpers on top of this var)
 _REQUEST_CTX: contextvars.ContextVar = contextvars.ContextVar(
     "repro_obs_request_ctx", default=None
 )
 
+#: the labels of a span given none (never mutated: :meth:`Span.label` copies)
+_NO_LABELS: dict = {}
+
 
 class Span:
-    """One live span; records duration and emits an event on exit."""
+    """One timed block: measures, traces when on, records when on."""
 
     __slots__ = (
-        "tracer", "name", "span_id", "parent_id", "attrs",
-        "_start_wall", "_start_perf", "_token", "duration",
+        "name", "attrs", "metric", "help", "labels", "seconds", "tracer",
+        "span_id", "parent_id", "ctx", "request", "_start", "_start_wall",
+        "_token",
     )
 
-    def __init__(self, tracer: "Tracer", name: str, attrs: dict) -> None:
-        self.tracer = tracer
+    # __init__ stores only what the untraced path reads; begin() fills the
+    # tracing slots when traced.  ``request`` is set by single-request
+    # front doors, whose end() also writes the digest and the SLO sample.
+    def __init__(
+        self,
+        name: str | None,
+        attrs: dict,
+        metric: str | None = None,
+        help: str = "",
+        labels: dict | None = None,
+    ) -> None:
         self.name = name
         self.attrs = attrs
-        self.span_id = tracer._next_id()
-        self.parent_id: str | None = None
-        self.duration = 0.0
-        self._token = None
+        self.metric = metric
+        self.help = help
+        self.labels = _NO_LABELS if labels is None else labels
+        self.tracer = None if name is None else _TRACER
+        self.span_id: str | None = None
+        self.request = False
+
+    @property
+    def ms(self) -> float:
+        return self.seconds * 1000.0
 
     def annotate(self, **attrs: object) -> "Span":
-        """Attach attributes after entry (e.g. result counters)."""
+        """Attach event attributes after entry (e.g. result counters)."""
         self.attrs.update(attrs)
         return self
 
+    def label(self, **labels: object) -> "Span":
+        """Set histogram labels after entry (e.g. the route taken)."""
+        # copy, never update: callers may hand in a shared constant dict
+        self.labels = {**self.labels, **labels}
+        return self
+
+    def begin(self) -> "Span":
+        """Start the clock; the span's parent and context are fixed here."""
+        tracer = self.tracer
+        if tracer is not None:
+            self.span_id = tracer._next_id()
+            stack = _SPAN_STACK.get()
+            self.parent_id = stack[-1] if stack else None
+            self.ctx = _REQUEST_CTX.get()
+            self._start_wall = time.time()
+        self._start = time.perf_counter()
+        return self
+
+    def end(self, error: type | None = None) -> float:
+        """Stop the clock, emit the event, record the histogram."""
+        seconds = self.seconds = time.perf_counter() - self._start
+        if self.tracer is not None:
+            self.tracer.emit_span(self, error)
+        if error is not None:
+            return seconds
+        if self.metric is not None:
+            registry = _obs.get_registry()
+            if registry.enabled:
+                registry.histogram(self.metric, self.help).observe(
+                    seconds, **self.labels
+                )
+        if self.request:
+            # the threshold test first: most requests are not slow, and
+            # the digest's keyword packing is the costly part of the call
+            recorder = _flight._FLIGHT
+            if recorder is not None and seconds >= recorder.slow_threshold:
+                recorder.observe_query(self.name, seconds, ok=self.ok, **self.labels)
+            if self.slo is not None:
+                self.slo.observe(seconds, ok=self.ok)
+        return seconds
+
     def __enter__(self) -> "Span":
-        stack = _SPAN_STACK.get()
-        self.parent_id = stack[-1] if stack else None
-        self._token = _SPAN_STACK.set(stack + (self.span_id,))
-        self._start_wall = time.time()
-        self._start_perf = time.perf_counter()
+        self.begin()
+        if self.tracer is not None:
+            self._token = _SPAN_STACK.set(_SPAN_STACK.get() + (self.span_id,))
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.duration = time.perf_counter() - self._start_perf
-        end_wall = time.time()
-        _SPAN_STACK.reset(self._token)
-        # "start"/"end" are wall-clock (mergeable across processes, subject
-        # to clock skew and NTP steps); "dur_s" is monotonic and is the
-        # span's true duration — ``end - start`` may disagree with it, and
-        # the difference measures local clock drift during the span.
-        event = {
-            "event": "span",
-            "name": self.name,
-            "span": self.span_id,
-            "parent": self.parent_id,
-            "start": self._start_wall,
-            "end": end_wall,
-            "dur_s": self.duration,
-            "pid": self.tracer._pid,
-        }
-        ctx = _REQUEST_CTX.get()
-        if ctx is not None:
-            event["trace"] = ctx.trace_id
-            event["request"] = ctx.request_id
-        if exc_type is not None:
-            event["error"] = exc_type.__name__
-        if self.attrs:
-            event["attrs"] = self.attrs
-        self.tracer.emit(event)
+        if self.tracer is not None:
+            _SPAN_STACK.reset(self._token)
+        self.end(exc_type)
 
 
-class _NullSpan:
-    """Shared no-op span for the tracer-less fast path (reentrant)."""
+class _OpenDoors(threading.local):
+    """How many SLO-counting front doors are open on this thread.
 
-    __slots__ = ()
-    duration = 0.0
-    span_id = None
-    parent_id = None
+    A nested door (a shard engine under the gateway, an engine under an
+    async window) leaves the SLO sample to the outermost one.  Door bodies
+    are synchronous — engines never yield to the event loop mid-call — so
+    the thread is the context.  Not a ContextVar on purpose: once any
+    context variable is set, every ``ContextVar.get`` on the thread (numpy
+    makes one per ufunc call) pays a lookup on the untraced query path.
+    """
 
-    def annotate(self, **attrs: object) -> "_NullSpan":
+    depth = 0
+
+
+_OPEN_DOORS = _OpenDoors()
+
+
+class FrontDoor(Span):
+    """The span of one serving entry point (rules: :mod:`repro.obs.context`).
+
+    As a context manager it also opens the request scope when traced.  The
+    async request span crosses the coalescing boundary instead: it calls
+    :meth:`begin` at enqueue and :meth:`end` at resolve.  ``ok`` (default
+    true) is the SLO verdict — a degraded or failed answer burns error
+    budget even when it is fast.
+
+    Nesting is tracked only while an SLO monitor is installed, the one
+    reader: a door opened without a monitor neither counts as open nor
+    writes a sample, so a monitor installed mid-request still gets one
+    sample per request.  The untraced path runs on every served request,
+    so it reads module globals directly and is spelled out flat; for the
+    same reason per-request callers attach event attributes only when
+    ``tracer`` is set.
+    """
+
+    __slots__ = ("ok", "slo", "_counted", "_scope")
+
+    def __init__(
+        self,
+        name: str,
+        attrs: dict,
+        metric: str | None,
+        help: str,
+        labels: dict | None,
+        request: bool,
+    ) -> None:
+        self.name = name
+        self.attrs = attrs
+        self.metric = metric
+        self.help = help
+        self.labels = _NO_LABELS if labels is None else labels
+        self.tracer = _TRACER
+        self.span_id = None
+        self.request = request
+        self.ok = True
+
+    def begin(self) -> "FrontDoor":
+        # the SLO monitor this door reports to: none when an outer door
+        # on this thread writes the request's sample
+        monitor = _slo._SLO
+        self.slo = None if monitor is None or _OPEN_DOORS.depth else monitor
+        Span.begin(self)
+        if self.tracer is not None and self.ctx is None:
+            from repro.obs.context import new_context
+
+            self.ctx = new_context()
         return self
 
-    def __enter__(self) -> "_NullSpan":
+    def __enter__(self) -> "FrontDoor":
+        monitor = _slo._SLO
+        if self.tracer is None:
+            self.slo = None if monitor is None or _OPEN_DOORS.depth else monitor
+            self._start = time.perf_counter()
+        else:
+            self.begin()
+            self._token = _SPAN_STACK.set(_SPAN_STACK.get() + (self.span_id,))
+            self._scope = (
+                _REQUEST_CTX.set(self.ctx) if _REQUEST_CTX.get() is None else None
+            )
+        self._counted = monitor is not None
+        if self._counted:
+            _OPEN_DOORS.depth += 1
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan()
+        if self._counted:
+            _OPEN_DOORS.depth -= 1
+        if self.tracer is not None:
+            if self._scope is not None:
+                _REQUEST_CTX.reset(self._scope)
+            _SPAN_STACK.reset(self._token)
+        self.end(exc_type)
 
 
 class Tracer:
@@ -155,6 +279,32 @@ class Tracer:
     def _next_id(self) -> str:
         return f"{self.id_prefix}{next(self._counter):08x}"
 
+    def emit_span(self, span: Span, error: type | None = None) -> None:
+        """Emit the event of a finished span (every span comes through here)."""
+        # "start"/"end" are wall-clock (mergeable across processes, subject
+        # to clock skew and NTP steps); "dur_s" is monotonic and is the
+        # span's true duration — ``end - start`` may disagree with it, and
+        # the difference measures local clock drift during the span.
+        event = {
+            "event": "span",
+            "name": span.name,
+            "span": span.span_id,
+            "parent": span.parent_id,
+            "start": span._start_wall,
+            "end": time.time(),
+            "dur_s": span.seconds,
+            "pid": self._pid,
+        }
+        ctx = span.ctx
+        if ctx is not None:
+            event["trace"] = ctx.trace_id
+            event["request"] = ctx.request_id
+        if error is not None:
+            event["error"] = error.__name__
+        if span.attrs:
+            event["attrs"] = span.attrs
+        self.emit(event)
+
     def emit(self, event: dict) -> None:
         # mirror every span event into the flight recorder: the ring is
         # the black box a DLQ entry or recovery report dumps later
@@ -169,9 +319,6 @@ class Tracer:
             line = json.dumps(event, sort_keys=True, default=str)
             with self._lock:
                 sink.write(line + "\n")
-
-    def span(self, name: str, **attrs: object) -> Span:
-        return Span(self, name, attrs)
 
 
 # ----------------------------------------------------------------------
@@ -192,95 +339,59 @@ def set_tracer(tracer: Tracer | None) -> Tracer | None:
     return previous
 
 
-def trace(name: str, **attrs: object):
-    """Open a span on the active tracer (no-op without one)."""
-    tracer = _TRACER
-    if tracer is None:
-        return _NULL_SPAN
-    return tracer.span(name, **attrs)
+def trace(
+    name: str,
+    metric: str | None = None,
+    help: str = "",
+    labels: dict | None = None,
+    **attrs: object,
+) -> Span:
+    """A :class:`Span` named ``name``, recording ``metric`` when given."""
+    return Span(name, attrs, metric, help, labels)
 
 
-# ----------------------------------------------------------------------
-# timing helpers
-# ----------------------------------------------------------------------
-class Stopwatch:
-    """Measure a block; optionally record a histogram sample and a span.
+def front_door(
+    name: str,
+    metric: str | None = None,
+    help: str = "",
+    labels: dict | None = None,
+    request: bool = False,
+    **attrs: object,
+) -> FrontDoor:
+    """Open a serving entry point's span: ``with obs.front_door(...)``.
 
-    Always measures — ``.seconds``/``.ms`` are valid after exit (and read
-    the running clock before it), independent of telemetry state.
+    ``request=True`` marks a single-request door: it writes a slow-query
+    digest and, when outermost, the request's SLO sample.  ``metric``,
+    ``help`` and ``labels`` name its latency histogram as for
+    :func:`trace`.  A function, not the class, because a keyword call to
+    a class packs a kwargs dict on every request.
     """
-
-    __slots__ = ("metric", "span_name", "labels", "_start", "_elapsed", "_span")
-
-    def __init__(
-        self,
-        metric: str | None = None,
-        span: str | None = None,
-        **labels: object,
-    ) -> None:
-        self.metric = metric
-        self.span_name = span
-        self.labels = labels
-        self._start = 0.0
-        self._elapsed: float | None = None
-        self._span = _NULL_SPAN
-
-    @property
-    def seconds(self) -> float:
-        if self._elapsed is None:
-            return time.perf_counter() - self._start
-        return self._elapsed
-
-    @property
-    def ms(self) -> float:
-        return self.seconds * 1000.0
-
-    def __enter__(self) -> "Stopwatch":
-        if self.span_name is not None:
-            self._span = trace(self.span_name, **self.labels)
-            self._span.__enter__()
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._elapsed = time.perf_counter() - self._start
-        self._span.__exit__(exc_type, exc, tb)
-        if self.metric is not None:
-            from repro import obs
-
-            registry = obs.get_registry()
-            if registry.enabled:
-                registry.histogram(self.metric).observe(self._elapsed, **self.labels)
+    return FrontDoor(name, attrs, metric, help, labels, request)
 
 
 def stopwatch(
-    metric: str | None = None, span: str | None = None, **labels: object
-) -> Stopwatch:
-    """``with stopwatch(...) as sw: ...; sw.seconds`` — see :class:`Stopwatch`."""
-    return Stopwatch(metric=metric, span=span, **labels)
+    metric: str | None = None,
+    span: str | None = None,
+    help: str = "",
+    **labels: object,
+) -> Span:
+    """``with stopwatch(...) as sw: ...; sw.seconds`` — a :class:`Span`.
+
+    ``labels`` are both the histogram labels and the event attributes.
+    Without ``span`` the block is timed (and recorded) but never traced.
+    """
+    return Span(span, labels, metric, help, dict(labels))
 
 
-def timed(
+def _timed(
     metric: str, span: str | None = None, **labels: object
 ) -> Callable[[Callable], Callable]:
-    """Decorator: record the function's wall time into ``metric``.
-
-    The metric is a histogram family (created on first use with the
-    default latency buckets); a span named ``span`` (default: the metric
-    name) is emitted when a tracer is active.  With telemetry fully off
-    the wrapper short-circuits to the bare call.
-    """
-    span_name = span or metric
+    """Deprecated decorator form of :func:`stopwatch` (``obs.timed``)."""
 
     def decorate(func: Callable) -> Callable:
         @functools.wraps(func)
         def wrapper(*args, **kwargs):
-            from repro import obs
-
-            registry = obs.get_registry()
-            if not registry.enabled and _TRACER is None:
-                return func(*args, **kwargs)
-            with stopwatch(metric=metric, span=span_name, **labels):
+            with stopwatch(metric, span or metric, **labels):
                 return func(*args, **kwargs)
 
         return wrapper

@@ -33,7 +33,6 @@ Everything is instrumented through :mod:`repro.obs` under the
 from __future__ import annotations
 
 import math
-import time
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -41,9 +40,6 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
-from repro.obs import context as obs_context
-from repro.obs import flight as obs_flight
-from repro.obs import slo as obs_slo
 from repro.baselines.dijkstra import dijkstra_distance
 from repro.core.batch import BatchReport
 from repro.core.fpsps import KERNEL_MODES, FlowAwareEngine
@@ -333,31 +329,6 @@ class ShardedGateway:
             shard=self._shard_label(shard),
         )
 
-    def _observe_query(
-        self, route: str, shard: int | None, start: float
-    ) -> None:
-        """Record one answered query's latency: histogram + flight + SLO.
-
-        The registry histogram only moves when telemetry is enabled; the
-        flight recorder's slow-query digest and the SLO window (when a
-        monitor is installed) are always on.  A fallback answer burns
-        error budget even when it is fast.
-        """
-        elapsed = time.perf_counter() - start
-        label = self._shard_label(shard)
-        registry = obs.get_registry()
-        if registry.enabled:
-            registry.histogram(
-                "repro_gateway_query_seconds",
-                "gateway query latency by route and shard",
-            ).observe(elapsed, route=route, shard=label)
-        obs_flight.observe_query(
-            "gateway.query", elapsed, route=route, shard=label
-        )
-        monitor = obs_slo.get_slo_monitor()
-        if monitor is not None:
-            monitor.observe(elapsed, ok=route != "fallback")
-
     def _sync_gauges(self) -> None:
         registry = obs.get_registry()
         if not registry.enabled:
@@ -507,36 +478,36 @@ class ShardedGateway:
     def query(self, query: FSPQuery) -> ServingResult:
         """Answer one FSPQ query through the sharded topology + cache."""
         query.validated(self.frn.num_vertices, self.frn.num_timesteps)
-        if obs.get_tracer() is not None:
-            with obs_context.request_scope():
-                with obs.trace(
-                    "gateway.query", src=query.source, dst=query.target
-                ):
-                    return self._query_impl(query)
-        return self._query_impl(query)
-
-    def _query_impl(self, query: FSPQuery) -> ServingResult:
-        start = time.perf_counter()
-        i = self.plan.shard(query.source)
-        j = self.plan.shard(query.target)
-        epochs = self._epochs_for(i, j)
-        key = ("q", query.source, query.target, query.timestep)
-        stale_before = self.cache.stale_drops
-        cached = self.cache.lookup(key, epochs)
-        self._count_cache("stale", self.cache.stale_drops - stale_before, shard=i)
-        if cached is not None:
-            self._count_cache("hit", shard=i)
-            self._observe_query("cache", i, start)
-            return cached
-        self._count_cache("miss", shard=i)
-        route, i, j = self._route_class(query)
-        shard = i if route == "shard" else None
-        self._count_route(route, shard=shard)
-        answer = self._evaluate(query, route, i)
-        self.cache.put(key, answer, epochs)
-        self._sync_gauges()
-        self._observe_query(route, shard, start)
-        return answer
+        with obs.front_door(
+            "gateway.query",
+            metric="repro_gateway_query_seconds",
+            help="gateway query latency by route and shard",
+            request=True,
+        ) as door:
+            if door.tracer is not None:
+                door.annotate(src=query.source, dst=query.target)
+            i = self.plan.shard(query.source)
+            j = self.plan.shard(query.target)
+            epochs = self._epochs_for(i, j)
+            key = ("q", query.source, query.target, query.timestep)
+            stale_before = self.cache.stale_drops
+            cached = self.cache.lookup(key, epochs)
+            self._count_cache("stale", self.cache.stale_drops - stale_before, shard=i)
+            if cached is not None:
+                self._count_cache("hit", shard=i)
+                door.label(route="cache", shard=self._shard_label(i))
+                return cached
+            self._count_cache("miss", shard=i)
+            route, i, j = self._route_class(query)
+            shard = i if route == "shard" else None
+            self._count_route(route, shard=shard)
+            answer = self._evaluate(query, route, i)
+            self.cache.put(key, answer, epochs)
+            self._sync_gauges()
+            door.label(route=route, shard=self._shard_label(shard))
+            # a fallback answer burns error budget even when it is fast
+            door.ok = route != "fallback"
+            return answer
 
     def explain(self, source: int, target: int, timestep: int = 0):
         """EXPLAIN one query through the gateway's routing topology.
@@ -620,120 +591,105 @@ class ShardedGateway:
             )
         for query in queries:
             query.validated(self.frn.num_vertices, self.frn.num_timesteps)
-        if obs.get_tracer() is not None:
-            with obs_context.request_scope():
-                with obs.trace(
-                    "gateway.batch", queries=len(queries), workers=workers
-                ):
-                    return self._batch_impl(queries, workers, timeout, kernel, report)
-        return self._batch_impl(queries, workers, timeout, kernel, report)
+        with obs.front_door("gateway.batch", queries=len(queries), workers=workers):
+            results: list[ServingResult | None] = [None] * len(queries)
+            pending: dict[str, list[tuple[int, FSPQuery, int, tuple[int, ...]]]] = {}
+            hits_by_shard: Counter[int] = Counter()
+            misses_by_shard: Counter[int] = Counter()
+            for position, query in enumerate(queries):
+                i = self.plan.shard(query.source)
+                j = self.plan.shard(query.target)
+                epochs = self._epochs_for(i, j)
+                key = ("q", query.source, query.target, query.timestep)
+                stale_before = self.cache.stale_drops
+                cached = self.cache.lookup(key, epochs)
+                self._count_cache(
+                    "stale", self.cache.stale_drops - stale_before, shard=i
+                )
+                if cached is not None:
+                    results[position] = cached
+                    hits_by_shard[i] += 1
+                    continue
+                misses_by_shard[i] += 1
+                route, i, j = self._route_class(query)
+                group = f"shard:{i}" if route == "shard" else route
+                pending.setdefault(group, []).append((position, query, i, epochs))
+            for shard, amount in sorted(hits_by_shard.items()):
+                self._count_cache("hit", amount, shard=shard)
+            for shard, amount in sorted(misses_by_shard.items()):
+                self._count_cache("miss", amount, shard=shard)
+            total_misses = sum(len(v) for v in pending.values())
 
-    def _batch_impl(
-        self,
-        queries: list[FSPQuery],
-        workers: int,
-        timeout: float | None,
-        kernel: str | None,
-        report: BatchReport | None,
-    ) -> list[ServingResult]:
-        results: list[ServingResult | None] = [None] * len(queries)
-        pending: dict[str, list[tuple[int, FSPQuery, int, tuple[int, ...]]]] = {}
-        hits_by_shard: Counter[int] = Counter()
-        misses_by_shard: Counter[int] = Counter()
-        for position, query in enumerate(queries):
-            i = self.plan.shard(query.source)
-            j = self.plan.shard(query.target)
-            epochs = self._epochs_for(i, j)
-            key = ("q", query.source, query.target, query.timestep)
-            stale_before = self.cache.stale_drops
-            cached = self.cache.lookup(key, epochs)
-            self._count_cache(
-                "stale", self.cache.stale_drops - stale_before, shard=i
-            )
-            if cached is not None:
-                results[position] = cached
-                hits_by_shard[i] += 1
-                continue
-            misses_by_shard[i] += 1
-            route, i, j = self._route_class(query)
-            group = f"shard:{i}" if route == "shard" else route
-            pending.setdefault(group, []).append((position, query, i, epochs))
-        for shard, amount in sorted(hits_by_shard.items()):
-            self._count_cache("hit", amount, shard=shard)
-        for shard, amount in sorted(misses_by_shard.items()):
-            self._count_cache("miss", amount, shard=shard)
-        total_misses = sum(len(v) for v in pending.values())
+            def _finish(
+                position: int, query: FSPQuery, answer: ServingResult,
+                epochs: tuple[int, ...],
+            ) -> None:
+                key = ("q", query.source, query.target, query.timestep)
+                self.cache.put(key, answer, epochs)
+                results[position] = answer
 
-        def _finish(
-            position: int, query: FSPQuery, answer: ServingResult,
-            epochs: tuple[int, ...],
-        ) -> None:
-            key = ("q", query.source, query.target, query.timestep)
-            self.cache.put(key, answer, epochs)
-            results[position] = answer
-
-        for group, entries in pending.items():
-            # admission-weighted allocation: each group gets pool workers in
-            # proportion to its share of the admitted (non-cached) workload.
-            share = max(
-                1, round(workers * len(entries) / max(1, total_misses))
-            )
-            if group == "fallback":
-                self._count_route("fallback", len(entries))
-                with self._fallback.kernel_override(kernel):
-                    for position, query, _, epochs in entries:
+            for group, entries in pending.items():
+                # admission-weighted allocation: each group gets pool workers in
+                # proportion to its share of the admitted (non-cached) workload.
+                share = max(
+                    1, round(workers * len(entries) / max(1, total_misses))
+                )
+                if group == "fallback":
+                    self._count_route("fallback", len(entries))
+                    with self._fallback.kernel_override(kernel):
+                        for position, query, _, epochs in entries:
+                            _finish(
+                                position, query,
+                                ServingResult(
+                                    result=self._fallback.query(query),
+                                    degraded=True, source="fallback",
+                                ),
+                                epochs,
+                            )
+                elif group == "boundary":
+                    self._count_route("boundary", len(entries))
+                    answers = self._cross.batch(
+                        [query for _, query, _, _ in entries],
+                        workers=share,
+                        timeout=timeout,
+                        kernel=kernel,
+                        report=report,
+                    )
+                    for (position, query, _, epochs), result in zip(entries, answers):
                         _finish(
                             position, query,
                             ServingResult(
-                                result=self._fallback.query(query),
-                                degraded=True, source="fallback",
+                                result=result, degraded=False, source="boundary"
                             ),
                             epochs,
                         )
-            elif group == "boundary":
-                self._count_route("boundary", len(entries))
-                answers = self._cross.batch(
-                    [query for _, query, _, _ in entries],
-                    workers=share,
-                    timeout=timeout,
-                    kernel=kernel,
-                    report=report,
-                )
-                for (position, query, _, epochs), result in zip(entries, answers):
-                    _finish(
-                        position, query,
-                        ServingResult(
-                            result=result, degraded=False, source="boundary"
-                        ),
-                        epochs,
+                else:
+                    shard = entries[0][2]
+                    self._count_route("shard", len(entries), shard=shard)
+                    local = [
+                        FSPQuery(
+                            self._to_local[shard][query.source],
+                            self._to_local[shard][query.target],
+                            query.timestep,
+                        )
+                        for _, query, _, _ in entries
+                    ]
+                    served = self.shards[shard].batch(
+                        local, workers=share, timeout=timeout, kernel=kernel,
+                        report=report,
                     )
-            else:
-                shard = entries[0][2]
-                self._count_route("shard", len(entries), shard=shard)
-                local = [
-                    FSPQuery(
-                        self._to_local[shard][query.source],
-                        self._to_local[shard][query.target],
-                        query.timestep,
-                    )
-                    for _, query, _, _ in entries
-                ]
-                served = self.shards[shard].batch(
-                    local, workers=share, timeout=timeout, kernel=kernel,
-                    report=report,
-                )
-                for (position, query, _, epochs), answer in zip(entries, served):
-                    _finish(
-                        position, query,
-                        ServingResult(
-                            result=self._remap_result(shard, answer.result),
-                            degraded=answer.degraded,
-                            source="shard",
-                        ),
-                        epochs,
-                    )
-        self._sync_gauges()
-        return results  # type: ignore[return-value]
+                    for (position, query, _, epochs), answer in zip(entries, served):
+                        _finish(
+                            position, query,
+                            ServingResult(
+                                result=self._remap_result(shard, answer.result),
+                                degraded=answer.degraded,
+                                source="shard",
+                            ),
+                            epochs,
+                        )
+            self._sync_gauges()
+            return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # updates

@@ -25,11 +25,11 @@ fast at:
 * **observability** — per-window and per-request latency histograms
   (``repro_async_window_seconds`` / ``repro_async_request_seconds``),
   window-size and queue-depth gauges, and ``async.window`` /
-  ``async.request`` spans.  Each request snapshots its
-  :class:`~repro.obs.RequestContext` wire at submit time and its span is
-  re-emitted under that context at resolve time, so a trace stays one
-  stitched tree across the coalescing boundary (the same wire protocol
-  the fork pool uses).
+  ``async.request`` spans.  Each request's span is begun at submit time
+  under the submitter's :class:`~repro.obs.RequestContext` and ended when
+  its future resolves, so a trace stays one stitched tree across the
+  coalescing boundary; the request span also writes the request's one
+  SLO sample.
 
 Answers are whatever the wrapped engine's own ``query``/``distance``
 return — bare :class:`~repro.core.fspq.FSPResult`/``float`` or serving
@@ -57,17 +57,12 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
-import os
 import threading
-import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro import obs
-from repro.obs import context as obs_context
-from repro.obs import flight as obs_flight
-from repro.obs import slo as obs_slo
 from repro.core.fpsps import FlowAwareEngine
 from repro.core.fspq import FSPQuery
 from repro.errors import AdmissionError, BackpressureError, QueryError
@@ -105,16 +100,12 @@ class GatewayWindowStats:
 
 @dataclass
 class _Pending:
-    """One queued request: payload + future + telemetry snapshot."""
+    """One queued request: payload + future + its enqueue→resolve span."""
 
     kind: str
     payload: object
     future: asyncio.Future | concurrent.futures.Future
-    client: str
-    submitted_perf: float
-    submitted_wall: float
-    wire: dict | None = None
-    attrs: dict = field(default_factory=dict)
+    span: obs.FrontDoor
 
 
 class AsyncGateway:
@@ -340,12 +331,6 @@ class AsyncGateway:
             )
             raise BackpressureError(len(self._pending))
 
-    def _snapshot_wire(self) -> dict | None:
-        if obs.get_tracer() is None:
-            return None
-        with obs_context.request_scope():
-            return obs_context.current_wire()
-
     def _enqueue(
         self,
         kind: str,
@@ -355,16 +340,20 @@ class AsyncGateway:
     ) -> None:
         """Admission + queueing; runs on the loop thread only."""
         self._admit(client)
+        # the request's span runs from here to resolve, across the
+        # coalescing boundary: begun under the submitter's context (its
+        # parent and trace ids), ended on the window that answers it
+        span = obs.front_door(
+            "async.request",
+            metric="repro_async_request_seconds",
+            help="submit-to-resolve latency through the async gateway",
+            labels={"kind": kind},
+            request=True,
+            kind=kind,
+            client=client,
+        ).begin()
         self._pending.append(
-            _Pending(
-                kind=kind,
-                payload=payload,
-                future=future,
-                client=client,
-                submitted_perf=time.perf_counter(),
-                submitted_wall=time.time(),
-                wire=self._snapshot_wire(),
-            )
+            _Pending(kind=kind, payload=payload, future=future, span=span)
         )
         self.stats.requests += 1
         self.metrics["requests"] += 1
@@ -471,28 +460,18 @@ class AsyncGateway:
         self.stats.windows += 1
         self.metrics["windows"] += 1
         self.stats.largest_window = max(self.stats.largest_window, len(window))
-        start = time.perf_counter()
-        if obs.get_tracer() is not None:
-            with obs_context.request_scope():
-                with obs.trace(
-                    "async.window",
-                    window=self._window_id,
-                    requests=len(window),
-                ):
-                    self._evaluate_window(window)
-        else:
+        with obs.front_door(
+            "async.window",
+            metric="repro_async_window_seconds",
+            help="dispatch latency of one coalesced window",
+            window=self._window_id,
+            requests=len(window),
+        ):
             self._evaluate_window(window)
-        elapsed = time.perf_counter() - start
-        registry = obs.get_registry()
-        if registry.enabled:
-            registry.counter(
-                "repro_async_windows_total",
-                "coalescing windows dispatched by the async gateway",
-            ).inc()
-            registry.histogram(
-                "repro_async_window_seconds",
-                "dispatch latency of one coalesced window",
-            ).observe(elapsed)
+        self._count(
+            "repro_async_windows_total",
+            "coalescing windows dispatched by the async gateway",
+        )
         self._sync_gauges(window_size=len(window))
 
     def _evaluate_window(self, window: list[_Pending]) -> None:
@@ -567,53 +546,21 @@ class AsyncGateway:
     # resolution + per-request telemetry
     # ------------------------------------------------------------------
     def _observe_request(self, item: _Pending, outcome: str) -> None:
-        elapsed = time.perf_counter() - item.submitted_perf
         if outcome == "resolved":
             self.stats.resolved += 1
         else:
             self.stats.errors += 1
         self.metrics[f"requests_{outcome}"] += 1
-        registry = obs.get_registry()
-        if registry.enabled:
-            registry.counter(
-                "repro_async_resolved_total",
-                "async-gateway requests resolved, by kind and outcome",
-            ).inc(kind=item.kind, outcome=outcome)
-            registry.histogram(
-                "repro_async_request_seconds",
-                "submit-to-resolve latency through the async gateway",
-            ).observe(elapsed, kind=item.kind)
-        obs_flight.observe_query(
-            "async.request", elapsed, kind=item.kind, outcome=outcome
+        self._count(
+            "repro_async_resolved_total",
+            "async-gateway requests resolved, by kind and outcome",
+            kind=item.kind,
+            outcome=outcome,
         )
-        monitor = obs_slo.get_slo_monitor()
-        if monitor is not None:
-            monitor.observe(elapsed, ok=outcome == "resolved")
-        tracer = obs.get_tracer()
-        if tracer is not None:
-            # re-emit the request's span under its *own* context wire, so
-            # the trace stitches across the coalescing boundary exactly
-            # like the fork-pool chunk hand-off does
-            event = {
-                "event": "span",
-                "name": "async.request",
-                "span": tracer._next_id(),
-                "parent": (item.wire or {}).get("span"),
-                "start": item.submitted_wall,
-                "end": time.time(),
-                "dur_s": elapsed,
-                "pid": os.getpid(),
-                "attrs": {
-                    "kind": item.kind,
-                    "window": self._window_id,
-                    "outcome": outcome,
-                    "client": item.client,
-                },
-            }
-            if item.wire is not None:
-                event["trace"] = item.wire["trace"]
-                event["request"] = item.wire["request"]
-            tracer.emit(event)
+        span = item.span
+        span.ok = outcome == "resolved"
+        span.annotate(window=self._window_id, outcome=outcome)
+        span.end()
 
     def _resolve(self, item: _Pending, answer: object) -> None:
         self._observe_request(item, "resolved")

@@ -39,9 +39,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro import obs
-from repro.obs import context as obs_context
 from repro.obs import flight as obs_flight
-from repro.obs import slo as obs_slo
 from repro.baselines.dijkstra import dijkstra_distance
 from repro.core.fahl import FAHLIndex
 from repro.core.fpsps import KERNEL_MODES, FlowAwareEngine
@@ -63,6 +61,10 @@ __all__ = [
 
 HEALTHY = "healthy"
 DEGRADED = "degraded"
+
+#: serving-query histogram labels per answer source, built once: the
+#: front door runs on every request and spans never mutate their labels
+_SOURCE_LABELS = {source: {"source": source} for source in ("index", "fallback")}
 
 
 @dataclass(frozen=True)
@@ -572,40 +574,29 @@ class ResilientEngine:
 
     def query(self, query: FSPQuery) -> ServingResult:
         """Answer an FSPQ query, degrading to index-free search if needed."""
-        degraded = self.degraded
+        # runs on every request: helper calls and keyword packing are
+        # spelled out inline (tests/test_obs_overhead.py budgets this path)
+        degraded = self.state != HEALTHY
         source = "fallback" if degraded else "index"
         engine = self._fallback if degraded else self._engine
         self.metrics["queries_degraded" if degraded else "queries_index"] += 1
-        self._count(
-            "repro_serving_queries_total",
-            "served queries by answer source",
-            source=source,
-        )
-        start = time.perf_counter()
-        if obs.get_tracer() is not None:
-            with obs_context.request_scope():
-                with obs.trace(
-                    "serving.query",
-                    source=source,
-                    src=query.source,
-                    dst=query.target,
-                ):
-                    result = engine.query(query)
-        else:
-            result = engine.query(query)
-        elapsed = time.perf_counter() - start
         registry = obs.get_registry()
         if registry.enabled:
-            registry.histogram(
-                "repro_serving_query_seconds", "end-to-end serving query latency"
-            ).observe(elapsed, source=source)
-        # always-on tail: slow-query digests into the flight recorder and,
-        # when a monitor is installed, the rolling SLO window (a degraded
-        # answer burns error budget even when it is fast)
-        obs_flight.observe_query("serving.query", elapsed, source=source)
-        monitor = obs_slo.get_slo_monitor()
-        if monitor is not None:
-            monitor.observe(elapsed, ok=not degraded)
+            registry.counter(
+                "repro_serving_queries_total", "served queries by answer source"
+            ).inc(source=source)
+        with obs.front_door(
+            "serving.query",
+            metric="repro_serving_query_seconds",
+            help="end-to-end serving query latency",
+            labels=_SOURCE_LABELS[source],
+            request=True,
+        ) as door:
+            if door.tracer is not None:
+                door.annotate(source=source, src=query.source, dst=query.target)
+            # a degraded answer burns error budget even when it is fast
+            door.ok = not degraded
+            result = engine.query(query)
         return ServingResult(result=result, degraded=degraded, source=source)
 
     def explain(self, source: int, target: int, timestep: int = 0):
@@ -671,53 +662,39 @@ class ResilientEngine:
             raise QueryError(
                 f"kernel must be one of {KERNEL_MODES}, got {kernel!r}"
             )
-        if obs.get_tracer() is not None:
-            with obs_context.request_scope():
-                with obs.trace(
-                    "serving.batch", queries=len(queries), workers=workers
-                ):
-                    return self._batch_impl(queries, workers, timeout, kernel, report)
-        return self._batch_impl(queries, workers, timeout, kernel, report)
-
-    def _batch_impl(
-        self,
-        queries: list[FSPQuery],
-        workers: int,
-        timeout,
-        kernel,
-        report,
-    ) -> list[ServingResult]:
-        if self.degraded:
-            self.metrics["queries_degraded"] += len(queries)
+        with obs.front_door("serving.batch", queries=len(queries), workers=workers):
+            if self.degraded:
+                self.metrics["queries_degraded"] += len(queries)
+                self._count(
+                    "repro_serving_queries_total",
+                    "served queries by answer source",
+                    len(queries),
+                    source="fallback",
+                )
+                with self._fallback.kernel_override(kernel):
+                    return [
+                        ServingResult(
+                            result=self._fallback.query(query),
+                            degraded=True,
+                            source="fallback",
+                        )
+                        for query in queries
+                    ]
+            self.metrics["queries_index"] += len(queries)
             self._count(
                 "repro_serving_queries_total",
                 "served queries by answer source",
                 len(queries),
-                source="fallback",
+                source="index",
             )
-            with self._fallback.kernel_override(kernel):
-                return [
-                    ServingResult(
-                        result=self._fallback.query(query),
-                        degraded=True,
-                        source="fallback",
-                    )
-                    for query in queries
-                ]
-        self.metrics["queries_index"] += len(queries)
-        self._count(
-            "repro_serving_queries_total",
-            "served queries by answer source",
-            len(queries),
-            source="index",
-        )
-        results = self._engine.batch(
-            queries, workers=workers, timeout=timeout, kernel=kernel, report=report
-        )
-        return [
-            ServingResult(result=result, degraded=False, source="index")
-            for result in results
-        ]
+            results = self._engine.batch(
+                queries, workers=workers, timeout=timeout, kernel=kernel,
+                report=report,
+            )
+            return [
+                ServingResult(result=result, degraded=False, source="index")
+                for result in results
+            ]
 
     @property
     def flow_engine(self) -> FlowAwareEngine:

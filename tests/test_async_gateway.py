@@ -280,6 +280,33 @@ class TestRejections:
         assert registry.get("repro_async_window_size").value() == 1
         assert registry.get("repro_async_queue_depth").value() == 0
 
+    def test_request_span_runs_from_enqueue_to_resolve(self, flow_engine):
+        """The request span parents under the submitter's span and is
+        emitted like every other span when the window resolves it."""
+        tracer = obs.Tracer()
+        previous = obs.set_tracer(tracer)
+
+        async def run():
+            async with AsyncGateway(flow_engine, window_seconds=0.0) as gateway:
+                with obs.trace("client.call") as client:
+                    await gateway.aquery(FSPQuery(0, 5, 0))
+                return client
+
+        try:
+            client = asyncio.run(run())
+        finally:
+            obs.set_tracer(previous)
+        (request,) = [e for e in tracer.events if e["name"] == "async.request"]
+        (window,) = [e for e in tracer.events if e["name"] == "async.window"]
+        assert request["parent"] == client.span_id
+        assert request["attrs"] == {
+            "kind": "query", "client": "default", "window": 1,
+            "outcome": "resolved",
+        }
+        assert request["start"] <= window["start"]
+        assert request["trace"] and request["request"]
+        assert request["pid"] == window["pid"]
+
 
 # ----------------------------------------------------------------------
 # the sync escape hatch

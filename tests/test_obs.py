@@ -223,8 +223,32 @@ class TestTimingHelpers:
         assert event["name"] == "unit.sw"
         assert event["attrs"] == {"k": 2}
 
+    def test_stopwatch_is_the_span_primitive(self, registry):
+        with obs.stopwatch(metric="repro_sw_seconds") as sw:
+            pass
+        assert isinstance(sw, obs.Span)
+        with obs.trace("unit.op", metric="repro_op_seconds",
+                       labels={"route": "a"}, k=1) as span:
+            span.label(shard="0")
+        assert span.seconds >= 0.0
+        assert registry.get("repro_op_seconds").count(route="a", shard="0") == 1
+
+    def test_span_records_nothing_when_the_block_raises(self, registry):
+        with pytest.raises(RuntimeError):
+            with obs.stopwatch(metric="repro_boom_seconds"):
+                raise RuntimeError("boom")
+        assert registry.get("repro_boom_seconds") is None
+
+    def test_stopwatch_class_name_is_deprecated(self):
+        with pytest.warns(DeprecationWarning, match="obs.Stopwatch"):
+            cls = obs.Stopwatch
+        assert cls is obs.Span
+
     def test_timed_decorator(self, registry):
-        @obs.timed("repro_fn_seconds", kind="unit")
+        with pytest.warns(DeprecationWarning, match="obs.timed"):
+            timed = obs.timed
+
+        @timed("repro_fn_seconds", kind="unit")
         def add(a, b):
             return a + b
 
@@ -234,10 +258,11 @@ class TestTimingHelpers:
     def test_timed_short_circuits_when_off(self):
         previous = obs.set_registry(obs.MetricsRegistry(enabled=False))
         try:
+            with pytest.warns(DeprecationWarning, match="obs.timed"):
 
-            @obs.timed("repro_off_seconds")
-            def f():
-                return 42
+                @obs.timed("repro_off_seconds")
+                def f():
+                    return 42
 
             assert f() == 42
         finally:

@@ -1,19 +1,29 @@
 """Overhead budget: disabled telemetry must stay within 5% of baseline.
 
-The FSPQ hot path guards its instrumentation behind one
-``registry.enabled`` / tracer check and falls through to ``_query_impl``
-— the uninstrumented Alg. 5 body.  This test times the public ``query``
-entry point with telemetry disabled against ``_query_impl`` directly
-(the registry-free baseline) and enforces the <5% latency budget from
-the telemetry design.  The budget covers everything that ships enabled
-by default: the always-on flight recorder and the request-context
-propagation machinery are both live during the measurement (only the
-registry and tracer are off, as in a production default).  Best-of-
-repeats on both sides keeps scheduler noise from failing the build.
+Two front doors are measured with the registry and the tracer off, each
+against the uninstrumented call beneath it:
+
+* ``FlowAwareEngine.query`` guards its instrumentation behind one
+  ``registry.enabled`` / tracer check and falls through to
+  ``_query_impl`` — the uninstrumented Alg. 5 body;
+* ``ResilientEngine.query`` runs its front-door span on every request
+  (the span always measures; it emits and records nothing here) on top
+  of its inner engine's ``query``.
+
+The budget covers everything that ships enabled by default: the
+always-on flight recorder and the request-context propagation machinery
+are both live during the measurement (only the registry and tracer are
+off, as in a production default).
+
+The two sides are interleaved within each round (alternating which runs
+first), timed in process CPU time rather than wall time, and judged on
+the median of the per-round ratios — a scheduler hiccup on a shared host
+then moves one round's ratio, not the verdict.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import pytest
@@ -22,8 +32,9 @@ from repro import obs
 from repro.core.fahl import FAHLIndex
 from repro.core.fpsps import FlowAwareEngine
 from repro.core.fspq import FSPQuery
+from repro.serving.engine import ResilientEngine
 
-ROUNDS = 7
+ROUNDS = 51
 OVERHEAD_BUDGET = 0.05
 
 
@@ -31,6 +42,15 @@ OVERHEAD_BUDGET = 0.05
 def engine(small_frn):
     index = FAHLIndex.from_frn(small_frn)
     return FlowAwareEngine(small_frn, oracle=index, pruning="lemma4")
+
+
+def _front_doors(small_frn, engine):
+    """``(instrumented, baseline)`` call pairs, keyed by front door."""
+    serving = ResilientEngine(small_frn, pruning="lemma4", max_retries=0)
+    return {
+        "flow_engine": (engine.query, engine._query_impl),
+        "resilient_engine": (serving.query, serving._engine.query),
+    }
 
 
 def _workload(frn, count=40):
@@ -43,35 +63,41 @@ def _workload(frn, count=40):
     ]
 
 
-def _best_of(rounds, func, queries):
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        for query in queries:
-            func(query)
-        best = min(best, time.perf_counter() - start)
-    return best
+def _cpu_seconds(func, queries) -> float:
+    start = time.process_time()
+    for query in queries:
+        func(query)
+    return time.process_time() - start
 
 
-def test_disabled_telemetry_overhead_under_budget(engine, small_frn):
+@pytest.mark.parametrize("front_door", ["flow_engine", "resilient_engine"])
+def test_disabled_telemetry_overhead_under_budget(front_door, engine, small_frn):
     assert not obs.get_registry().enabled
     assert obs.get_tracer() is None
     # the flight recorder is always on — the budget must absorb it
     assert obs.get_flight() is not None
+    instrumented, baseline = _front_doors(small_frn, engine)[front_door]
     queries = _workload(small_frn)
 
-    # interleave a warmup so caches/JIT-free CPython state are identical
-    _best_of(1, engine._query_impl, queries)
-    _best_of(1, engine.query, queries)
+    # warm both sides so caches/JIT-free CPython state are identical
+    _cpu_seconds(baseline, queries)
+    _cpu_seconds(instrumented, queries)
 
-    baseline = _best_of(ROUNDS, engine._query_impl, queries)
-    instrumented = _best_of(ROUNDS, engine.query, queries)
+    ratios = []
+    for round_ in range(ROUNDS):
+        if round_ % 2:
+            slow = _cpu_seconds(instrumented, queries)
+            base = _cpu_seconds(baseline, queries)
+        else:
+            base = _cpu_seconds(baseline, queries)
+            slow = _cpu_seconds(instrumented, queries)
+        ratios.append(slow / base)
 
-    overhead = (instrumented - baseline) / baseline
+    overhead = statistics.median(ratios) - 1.0
     assert overhead < OVERHEAD_BUDGET, (
-        f"disabled-telemetry query path is {overhead:.1%} slower than the "
-        f"registry-free baseline (budget {OVERHEAD_BUDGET:.0%}): "
-        f"{instrumented * 1e3:.2f}ms vs {baseline * 1e3:.2f}ms"
+        f"disabled-telemetry {front_door} path is {overhead:.1%} slower than "
+        f"its uninstrumented baseline (budget {OVERHEAD_BUDGET:.0%}); "
+        f"per-round ratios {[round(r, 3) for r in ratios]}"
     )
 
 
