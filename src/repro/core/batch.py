@@ -10,7 +10,7 @@ touching results:
   kernel's per-target heuristic table and the engine's per-slice flow
   cache, then restores the caller's original order.  Every query goes
   through the engine's own :meth:`~repro.core.fpsps.FlowAwareEngine.query`,
-  so a hierarchy oracle keeps the flat kernel.
+  so any oracle the flat kernel speaks for keeps it.
 * ``batch_query(..., workers=N)`` — fans contiguous chunks of the
   target-grouped order out to a ``fork`` multiprocessing pool.  The built
   index is shared with the workers copy-on-write (nothing is pickled on

@@ -14,9 +14,13 @@ is a *path source* that keeps the exact algorithm — its stream is
 state so the per-vertex work collapses:
 
 * the A* heuristic ``h(v) = dis(v, target)`` becomes one vectorised
-  one-to-all table (:meth:`HierarchyIndex.distances_to`, a top-down bag
-  sweep over the packed :class:`~repro.labeling.arena.LabelArena`)
-  instead of one scalar label scan per visited vertex, cached per target;
+  one-to-all table — the oracle's ``distances_to``: a top-down bag sweep
+  over the packed :class:`~repro.labeling.arena.LabelArena` for a
+  :class:`~repro.labeling.hierarchy.HierarchyIndex`, the boundary-table
+  column combine for the sharded gateway's cross-shard oracle — instead
+  of one scalar oracle call per visited vertex, cached per target (at
+  most :data:`_H_CACHE` tables, dropped together when full: batches are
+  target-grouped, so only the latest tables are ever reused);
 * A* runs on a prebuilt adjacency list (``neighbor_items`` order preserved,
   undirected edge ids precomputed) with stamped distance/parent arrays —
   no dict lookups, no per-search allocation;
@@ -38,7 +42,10 @@ path, including straight after ILU/ISU/GSU maintenance.
 
 The kernel snapshots ``index.label_version`` at build time; the engine
 rebuilds it whenever the version moves, so maintenance transparently
-invalidates the cached adjacency, heuristics and memo tables.
+invalidates the cached adjacency, heuristics and memo tables.  Any oracle
+with ``distances_to``, ``label_version`` and the engine's ``graph`` can
+drive it; for one whose scalar ``heuristic`` factory reads the same
+tables (the sharded gateway's) the streams agree by construction.
 """
 
 from __future__ import annotations
@@ -50,14 +57,16 @@ from typing import TYPE_CHECKING, Iterator
 
 from repro.paths.candidates import Candidates, DominanceStop, collect_candidates
 
-if TYPE_CHECKING:  # circular-import guard: hierarchy is typing-only here
+if TYPE_CHECKING:  # circular-import guard: overlay is typing-only here
     from repro.core.overlay import DeltaOverlay
     from repro.graph.frn import FlowAwareRoadNetwork
-    from repro.labeling.hierarchy import HierarchyIndex
 
 __all__ = ["FlatQueryKernel"]
 
 _INF = math.inf
+#: heuristic tables kept per kernel; each is a Python-float list of length
+#: n, so a deep cache costs peak memory and buys no reuse
+_H_CACHE = 8
 
 
 class FlatQueryKernel:
@@ -66,10 +75,14 @@ class FlatQueryKernel:
     Parameters
     ----------
     index:
-        A :class:`~repro.labeling.hierarchy.HierarchyIndex` (FAHL or H2H)
-        over exactly ``frn.graph``.  Its ``distance_many`` feeds the
-        heuristic tables, so the kernel's A* sees the same admissible
-        heuristic values as the scalar :class:`OracleHeuristic` path.
+        An oracle over exactly ``frn.graph`` with ``distances_to(target)``
+        (exact one-to-all distances, entry ``v`` equal to
+        ``distance(v, target)``), ``distance(u, v)`` and a
+        ``label_version`` that moves whenever a table entry can: a
+        :class:`~repro.labeling.hierarchy.HierarchyIndex` (FAHL or H2H)
+        or the sharded gateway's boundary oracle.  Its tables feed the
+        A* heuristic, so the kernel's A* sees the same admissible
+        heuristic values as the scalar reference path.
     frn:
         The flow-aware road network the engine queries.
 
@@ -85,7 +98,7 @@ class FlatQueryKernel:
 
     def __init__(
         self,
-        index: "HierarchyIndex",
+        index,
         frn: "FlowAwareRoadNetwork",
         overlay: "DeltaOverlay | None" = None,
     ) -> None:
@@ -199,7 +212,7 @@ class FlatQueryKernel:
         """
         h = self._h_cache.get(target)
         if h is None:
-            if len(self._h_cache) >= 128:
+            if len(self._h_cache) >= _H_CACHE:
                 self._h_cache.clear()
             if self.overlay is not None and not self.overlay.is_empty:
                 h = self.overlay.table_to(target).tolist()

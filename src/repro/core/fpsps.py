@@ -10,7 +10,8 @@ Section V:
 
 Every oracle runs the same pipeline: the engine only picks a *path
 source* — the flat kernel's :meth:`~repro.core.flatq.FlatQueryKernel.iter_paths`
-for hierarchy oracles, otherwise lazy Yen
+for oracles with an exact one-to-all ``distances_to`` table, otherwise
+lazy Yen
 (:func:`~repro.paths.yen.iter_shortest_paths`) or the sorted exhaustive
 DFS list — feeds it to the one collector
 (:func:`~repro.paths.candidates.collect_candidates`) and hands the
@@ -182,15 +183,15 @@ class FlowAwareEngine:
         optimum (measured in EXPERIMENTS.md).
     kernel:
         ``"flat"`` (default) draws candidate paths from the
-        :class:`~repro.core.flatq.FlatQueryKernel` whenever the oracle is
-        a hierarchy index over this FRN's graph — bit-identical results,
-        roughly an order of magnitude faster.  ``"scalar"`` forces the
-        reference path iterator (the exactness baseline the flat kernel
-        is tested against); collection and scoring are shared either
-        way.  Oracles the kernel cannot speak for (``None``,
-        non-hierarchy baselines, ALT-style oracles with their own
-        heuristic factory, exhaustive mode) silently use the reference
-        iterator.
+        :class:`~repro.core.flatq.FlatQueryKernel` whenever the oracle has
+        an exact one-to-all ``distances_to`` table over this FRN's graph
+        (hierarchy indexes, overlay oracles, the sharded gateway's
+        boundary oracle) — bit-identical results, roughly an order of
+        magnitude faster.  ``"scalar"`` forces the reference path iterator
+        (the exactness baseline the flat kernel is tested against);
+        collection and scoring are shared either way.  Oracles the kernel
+        cannot speak for (``None``, CH, TD-G-tree, ALT, exhaustive mode)
+        silently use the reference iterator.
     """
 
     def __init__(
@@ -270,19 +271,20 @@ class FlowAwareEngine:
     def _flat_kernel(self) -> FlatQueryKernel | None:
         """The flat kernel for the current oracle, or ``None``.
 
-        The kernel speaks for hierarchy indexes over exactly this FRN's
-        graph whose heuristic is the plain exact-distance oracle wrap, and
-        for :class:`~repro.core.overlay.OverlayOracle` wrappers over such
-        an index (stable ⊕ overlay serving: the kernel's heuristic tables
-        and adjacency then track the overlay's exact current-graph view).
-        Anything else (index-free baselines, ALT oracles with a
-        ``heuristic`` factory, exhaustive enumeration) falls back to the
-        reference path iterator.  A cached kernel
-        is dropped whenever the underlying index object changes,
-        maintenance bumps its label version, or (overlay-free) the graph's
-        ``mutation_version`` moves — an ILU can change an off-shortest-path
-        edge weight without touching any label; an overlay version bump
-        only triggers the cheap in-place adjacency resync.
+        The kernel speaks for any oracle with an exact one-to-all
+        ``distances_to`` table, a ``label_version`` and a ``graph`` that is
+        this FRN's graph: hierarchy indexes, the sharded gateway's
+        boundary-table oracle, and :class:`~repro.core.overlay.OverlayOracle`
+        wrappers over an index (stable ⊕ overlay serving: the kernel's
+        heuristic tables and adjacency then track the overlay's exact
+        current-graph view).  Oracles without such a table (index-free
+        A*, CH, TD-G-tree, ALT) and exhaustive enumeration use the
+        reference path iterator.  A cached kernel is dropped whenever the
+        underlying oracle object changes, its label version moves, or
+        (overlay-free) the graph's ``mutation_version`` moves — an ILU can
+        change an off-shortest-path edge weight without touching any
+        label; an overlay version bump only triggers the cheap in-place
+        adjacency resync.
         """
         if self.kernel != "flat" or self.exhaustive:
             return None
@@ -291,11 +293,11 @@ class FlowAwareEngine:
         if isinstance(oracle, OverlayOracle):
             overlay = oracle.overlay
             oracle = oracle.index
-        if not isinstance(oracle, HierarchyIndex):
-            return None
-        if oracle.graph is not self.frn.graph:
-            return None
-        if overlay is None and callable(getattr(oracle, "heuristic", None)):
+        if not (
+            callable(getattr(oracle, "distances_to", None))
+            and hasattr(oracle, "label_version")
+            and getattr(oracle, "graph", None) is self.frn.graph
+        ):
             return None
         kern = self._flat_kernel_cache
         if (

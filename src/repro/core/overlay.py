@@ -64,7 +64,12 @@ from repro.core.maintenance import (
 from repro.errors import EdgeNotFoundError, GraphError, QueryError
 from repro.graph.road_network import RoadNetwork
 from repro.labeling.hierarchy import HierarchyIndex
-from repro.paths.astar_search import AdmissibleHeuristic, OracleHeuristic, astar_path
+from repro.paths.astar_search import (
+    AdmissibleHeuristic,
+    OracleHeuristic,
+    TableHeuristic,
+    astar_path,
+)
 
 __all__ = ["DeltaOverlay", "OverlayOracle", "ConsolidationTask"]
 
@@ -355,16 +360,6 @@ class DeltaOverlay:
         }
 
 
-class _TableHeuristic(AdmissibleHeuristic):
-    """Exact (hence admissible and consistent) precomputed distance table."""
-
-    def __init__(self, table: np.ndarray) -> None:
-        self._table = table
-
-    def estimate(self, vertex: int) -> float:
-        return float(self._table[vertex])
-
-
 class _SlackHeuristic(AdmissibleHeuristic):
     """``max(0, d0(v, t) - Σ decreases)`` — admissible on the current graph."""
 
@@ -447,7 +442,7 @@ class OverlayOracle:
         """
         if self.overlay.is_empty:
             return OracleHeuristic(self.index, target)
-        return _TableHeuristic(self.heuristic_table(target))
+        return TableHeuristic(self.heuristic_table(target))
 
     def distances_to(self, target: int) -> np.ndarray:
         return self.heuristic_table(target)
@@ -530,7 +525,7 @@ class OverlayOracle:
         if u == v:
             return [u]
         path, _ = astar_path(
-            self.graph, u, v, _TableHeuristic(self.heuristic_table(v))
+            self.graph, u, v, TableHeuristic(self.heuristic_table(v))
         )
         return path
 

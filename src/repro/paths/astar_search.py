@@ -27,6 +27,7 @@ __all__ = [
     "AdmissibleHeuristic",
     "EuclideanHeuristic",
     "OracleHeuristic",
+    "TableHeuristic",
     "ZeroHeuristic",
     "astar_path",
 ]
@@ -61,6 +62,20 @@ class OracleHeuristic(AdmissibleHeuristic):
             cached = self._oracle.distance(vertex, self._target)
             self._cache[vertex] = cached
         return cached
+
+
+class TableHeuristic(AdmissibleHeuristic):
+    """Exact (hence admissible and consistent) precomputed distance table.
+
+    The scalar face of an oracle's one-to-all ``distances_to`` table: the
+    reference iterator reads the same values the flat kernel does.
+    """
+
+    def __init__(self, table) -> None:
+        self._table = table
+
+    def estimate(self, vertex: int) -> float:
+        return float(self._table[vertex])
 
 
 class EuclideanHeuristic(AdmissibleHeuristic):

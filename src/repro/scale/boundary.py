@@ -24,6 +24,20 @@ vertex from which it leaves the shard and the last one through which it
 re-enters — the prefix and suffix stay inside their shards, the middle is
 a full-graph path between boundary vertices.
 
+Both share one term per target.  For ``v`` in shard ``j`` and every
+boundary vertex ``b`` (of any shard)::
+
+      g(b) = min over b' in B_j of D(b, b') + d_j(b', v)
+
+so the cross-shard distance is ``min over b in B_i of d_i(u, b) + g(b)``
+and the same-shard detour is the same expression with ``i = j``.
+:meth:`BoundaryIndex.to_target` computes ``g``; the point combines and
+the one-to-all *column* toward ``v`` (:meth:`BoundaryIndex.column`, every
+``u`` of shard ``i`` at once: ``min over b of d_i(b, :) + g(b)``, an
+``O(|B_i| · n_i)`` reduction) read the same ``g`` and add in the same
+order, so a column entry equals the point combine bit for bit on any
+weights.
+
 ``D`` itself comes from the same two parts TD-G-tree answers with —
 border matrices plus border edges — not from full-graph searches.  The
 *boundary overlay graph* has one vertex per boundary vertex and two kinds
@@ -177,24 +191,47 @@ class BoundaryIndex:
         """In-shard distances from a local vertex to shard ``k``'s boundary."""
         return self._local[k][:, local_vertex]
 
+    def to_target(self, j: int, v_local: int, i: int | None = None) -> np.ndarray:
+        """``g(b) = min over b' in B_j of D(b, b') + d_j(b', v)``.
+
+        Over shard ``i``'s boundary rows, or over every boundary row (shard
+        by shard, the order of :meth:`column`'s input) when ``i`` is
+        ``None``.  Each row's sums and minimum do not depend on which other
+        rows are computed, so both forms agree bit for bit.
+        """
+        rows = slice(None) if i is None else self._rows[i]
+        dv = self._local[j][:, v_local]
+        block = self._table[rows, self._rows[j]]
+        if len(dv) == 0:
+            return np.full(block.shape[0], np.inf)
+        return (block + dv[None, :]).min(axis=1)
+
+    def column(self, i: int, g: np.ndarray) -> np.ndarray:
+        """``min over b in B_i of d_i(b, u) + g(b)`` for every local ``u``.
+
+        ``g`` is :meth:`to_target` over every boundary row: the exact
+        distances from all of shard ``i`` to the target through its
+        boundary, one entry per local vertex.
+        """
+        local = self._local[i]
+        if len(local) == 0:
+            return np.full(local.shape[1], np.inf)
+        return (local + g[self._rows[i], None]).min(axis=0)
+
     def combine_intra(self, k: int, u_local: int, v_local: int, d_local: float) -> float:
         """Exact same-shard distance given the in-shard distance."""
         du = self._local[k][:, u_local]
         if len(du) == 0:
             return d_local
-        dv = self._local[k][:, v_local]
-        block = self._table[self._rows[k], self._rows[k]]
-        via = float((du[:, None] + block + dv[None, :]).min())
+        via = float((du + self.to_target(k, v_local, k)).min())
         return min(d_local, via)
 
     def combine_cross(self, i: int, u_local: int, j: int, v_local: int) -> float:
         """Exact cross-shard distance via the boundary tables."""
         du = self._local[i][:, u_local]
-        dv = self._local[j][:, v_local]
-        if len(du) == 0 or len(dv) == 0:
+        if len(du) == 0:
             return float("inf")
-        block = self._table[self._rows[i], self._rows[j]]
-        return float((du[:, None] + block + dv[None, :]).min())
+        return float((du + self.to_target(j, v_local, i)).min())
 
     @property
     def num_boundary_vertices(self) -> int:

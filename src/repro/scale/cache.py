@@ -93,6 +93,17 @@ class ResultCache:
         self.hits += 1
         return payload
 
+    def peek(self, key: tuple, epochs: tuple[int, ...]):
+        """What :meth:`lookup` would return, with no side effects.
+
+        Counts nothing, keeps the LRU order and leaves a stale entry in
+        place for the next real lookup to drop — the probe EXPLAIN uses.
+        """
+        entry = self._entries.get(key)
+        if entry is None or entry[1] != epochs:
+            return None
+        return entry[0]
+
     def put(self, key: tuple, payload: object, epochs: tuple[int, ...]) -> None:
         """Record ``payload`` for ``key`` under the given epochs."""
         if key in self._entries:

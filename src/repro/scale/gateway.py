@@ -40,13 +40,14 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
-from repro.baselines.dijkstra import dijkstra_distance
+from repro.baselines.dijkstra import dijkstra_distance, dijkstra_distances
 from repro.core.batch import BatchReport
 from repro.core.fpsps import KERNEL_MODES, FlowAwareEngine
 from repro.core.fspq import FSPQuery, FSPResult
 from repro.errors import QueryError, RecoveryError
 from repro.flow.series import FlowSeries
 from repro.graph.frn import FlowAwareRoadNetwork
+from repro.paths.astar_search import TableHeuristic
 from repro.scale.boundary import BoundaryIndex
 from repro.scale.cache import CacheStats, ResultCache
 from repro.scale.partitioner import ShardPlan, partition_network
@@ -79,18 +80,45 @@ class GatewayStatus:
 
 
 class _ShardedOracle:
-    """A distance oracle backed by the gateway's boundary-table combine.
+    """A distance oracle backed by the gateway's boundary tables.
 
     Plugged into the cross-shard :class:`FlowAwareEngine`, so its SPDis
     and candidate-generation heuristics see exact full-graph distances
-    while the monolithic index stays out of the serving path.
+    while the monolithic index stays out of the serving path.  It speaks
+    the flat kernel's oracle protocol — ``distances_to``,
+    ``label_version`` and the engine's ``graph`` — so boundary-route
+    queries run :class:`~repro.core.flatq.FlatQueryKernel`.  The
+    ``heuristic`` factory hands the scalar reference iterator the same
+    table, so ``kernel="scalar"`` and the flat kernel produce identical
+    candidate streams by construction.
     """
 
     def __init__(self, gateway: "ShardedGateway") -> None:
         self._gateway = gateway
 
+    @property
+    def graph(self):
+        return self._gateway.frn.graph
+
+    @property
+    def label_version(self) -> tuple:
+        """Moves whenever any table entry can: weights, shard maintenance,
+        and a shard flipping to (or from) degraded Dijkstra serving."""
+        gateway = self._gateway
+        return (
+            gateway._weight_epoch,
+            tuple(gateway._shard_epochs),
+            gateway.degraded_shards,
+        )
+
     def distance(self, u: int, v: int) -> float:
         return self._gateway._distance_raw(u, v)
+
+    def distances_to(self, target: int) -> np.ndarray:
+        return self._gateway._distances_to(target)
+
+    def heuristic(self, target: int) -> TableHeuristic:
+        return TableHeuristic(self.distances_to(target))
 
 
 class ShardedGateway:
@@ -119,10 +147,11 @@ class ShardedGateway:
         for every query.
     kernel:
         Query-kernel selection (``"flat"`` default, ``"scalar"``
-        reference), forwarded to the per-shard engines — intra-shard
-        dispatch therefore runs the vectorised flat kernel — and to the
-        cross-shard/fallback engines (which fall back to scalar on their
-        own, as their oracles are not hierarchy indexes).
+        reference), forwarded to the per-shard engines and to the
+        cross-shard engine, so shard and boundary routes both run the
+        vectorised flat kernel (the boundary route reads its A* tables
+        from :meth:`_distances_to`).  Only the degraded-fallback engine,
+        which has no oracle, stays on the scalar reference iterator.
     engine_kwargs:
         Extra keyword arguments forwarded to every per-shard
         :class:`~repro.serving.engine.ResilientEngine` (``max_retries``,
@@ -382,7 +411,9 @@ class ShardedGateway:
             return 0.0
         i, j = self.plan.shard(u), self.plan.shard(v)
         if self.shards[i].degraded or self.shards[j].degraded:
-            return dijkstra_distance(self.frn.graph, u, v)
+            # searched from v, so the sum is accumulated in the order of
+            # _distances_to's one Dijkstra from the target
+            return dijkstra_distance(self.frn.graph, v, u)
         u_local = self._to_local[i][u]
         v_local = self._to_local[j][v]
         if i == j:
@@ -392,6 +423,40 @@ class ShardedGateway:
             d_local = self.shards[i].oracle.distance(u_local, v_local)
             return self.boundary.combine_intra(i, u_local, v_local, d_local)
         return self.boundary.combine_cross(i, u_local, j, v_local)
+
+    def _distances_to(self, target: int) -> np.ndarray:
+        """``[_distance_raw(v, target) for v in range(n)]``, vectorised.
+
+        One :meth:`BoundaryIndex.to_target` term, then one
+        :meth:`BoundaryIndex.column` per shard; the target's own shard
+        also takes the minimum with its shard oracle's one-to-all table.
+        Each entry performs the point combine's float operations, so the
+        two agree bit for bit wherever the shard oracle's ``distances_to``
+        equals its ``distance`` (always with empty shard overlays, and on
+        integer weights).  Vertices of degraded shards read one full-graph
+        Dijkstra from the target.
+        """
+        j = self.plan.shard(target)
+        graph = self.frn.graph
+        if self.shards[j].degraded:
+            return dijkstra_distances(graph, target)
+        t_local = self._to_local[j][target]
+        g = self.boundary.to_target(j, t_local)
+        table = np.empty(graph.num_vertices)
+        fallback = None
+        for i, engine in enumerate(self.shards):
+            # members are sorted, so the mask lists them in local-id order
+            members = self.plan.shard_of == i
+            if engine.degraded:
+                if fallback is None:
+                    fallback = dijkstra_distances(graph, target)
+                table[members] = fallback[members]
+                continue
+            column = self.boundary.column(i, g)
+            if i == j:
+                column = np.minimum(column, engine.oracle.distances_to(t_local))
+            table[members] = column
+        return table
 
     def distance(self, u: int, v: int) -> ServingDistance:
         """Exact shortest spatial distance between any two global vertices."""
@@ -519,9 +584,10 @@ class ShardedGateway:
         :meth:`query` — and annotates the result with the gateway-level
         provenance: route taken, shard pair, cache verdict with the epoch
         stamp the entry would carry, and the boundary-table size the
-        combine paths cross.  The cache probe is observational only: it
-        does not count toward the cache metrics, and the answer is *not*
-        inserted, so explaining a query never perturbs serving state.
+        combine paths cross.  The cache probe is observational only
+        (:meth:`ResultCache.peek`): it counts no hit or miss, keeps the LRU
+        order and drops no stale entry, and the answer is *not* inserted,
+        so explaining a query never perturbs serving state.
         """
         query = FSPQuery(source, target, timestep).validated(
             self.frn.num_vertices, self.frn.num_timesteps
@@ -530,9 +596,7 @@ class ShardedGateway:
         j = self.plan.shard(target)
         epochs = self._epochs_for(i, j)
         cache_hit = (
-            self.cache.lookup(
-                ("q", source, target, timestep), epochs
-            )
+            self.cache.peek(("q", source, target, timestep), epochs)
             is not None
         )
         route, i, j = self._route_class(query)

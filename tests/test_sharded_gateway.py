@@ -367,3 +367,124 @@ class TestStatus:
         assert len(status.shard_epochs) == 4
         assert status.cache.capacity > 0
         assert any(k.startswith("queries_") for k in status.metrics)
+
+
+def _assert_table_matches_point_combine(gateway, exact: bool = True) -> None:
+    """``_ShardedOracle.distances_to(t)[v]`` against ``_distance_raw(v, t)``."""
+    oracle = gateway.flow_engine.oracle
+    n = gateway.frn.num_vertices
+    for t in range(n):
+        table = oracle.distances_to(t)
+        assert table.shape == (n,)
+        for v in range(n):
+            want = gateway._distance_raw(v, t)
+            if exact:
+                assert table[v] == want, (v, t)
+            else:
+                assert math.isclose(table[v], want, rel_tol=1e-12), (v, t)
+
+
+class TestShardedHeuristicTable:
+    """The one-to-all column is the point combine, entry for entry."""
+
+    def test_exact_after_construction(self, gateway):
+        _assert_table_matches_point_combine(gateway)
+
+    def test_exact_after_float_factor_updates_once_consolidated(self, gateway):
+        graph = gateway.frn.graph
+        for step, (u, v, _) in enumerate(gateway.plan.cut_edges[:4]):
+            factor = 0.65 if step % 2 == 0 else 1.5
+            assert gateway.submit(
+                WeightUpdate(u, v, graph.weight(u, v) * factor, timestamp=1.0)
+            ).applied
+        # cut edges live in no shard: the overlays are still empty
+        _assert_table_matches_point_combine(gateway)
+        for shard in (0, 1):
+            u, v, w = _intra_edge(gateway, shard)
+            assert gateway.submit(
+                WeightUpdate(u, v, w * 0.65, timestamp=1.0)
+            ).applied
+        # non-empty shard overlays: the overlay's table and its certified
+        # point distance may round differently on non-integer weights
+        assert not all(engine.overlay.is_empty for engine in gateway.shards)
+        _assert_table_matches_point_combine(gateway, exact=False)
+        gateway.consolidate()
+        assert all(engine.overlay.is_empty for engine in gateway.shards)
+        _assert_table_matches_point_combine(gateway)
+
+    def test_exact_with_a_degraded_shard(self, gateway):
+        graph = gateway.frn.graph
+        u, v, _ = gateway.plan.cut_edges[0]
+        assert gateway.submit(
+            WeightUpdate(u, v, graph.weight(u, v) * 0.65, timestamp=1.0)
+        ).applied
+        _degrade(gateway, 1)
+        assert gateway.degraded_shards == (1,)
+        _assert_table_matches_point_combine(gateway)
+
+
+class TestShardedFlatMatchesScalar:
+    """Every gateway answer equals a ``kernel="scalar"`` gateway's, across
+    interleaved queries, batches, updates and consolidations.
+
+    Both gateways read their A* heuristic from ``_ShardedOracle``'s table,
+    so after every state change the table is also checked against the
+    independent point combine (exact here: the weights are integers)."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_flat_gateway_equals_scalar_gateway(self, data):
+        graph = data.draw(connected_graphs(min_vertices=8, max_vertices=18))
+        num_shards = data.draw(st.integers(2, 3))
+        seed = data.draw(st.integers(0, 5))
+        flat = ShardedGateway(
+            _frn(graph, seed=seed), num_shards=num_shards, max_retries=0
+        )
+        scalar = ShardedGateway(
+            _frn(graph.copy(), seed=seed), num_shards=num_shards,
+            max_retries=0, kernel="scalar",
+        )
+        assert flat.flow_engine._flat_kernel() is not None
+        _assert_table_matches_point_combine(flat)
+        plan = flat.plan
+        n, steps = graph.num_vertices, flat.frn.num_timesteps
+        intra = [
+            (u, v) for u, v, _ in graph.edges() if plan.shard(u) == plan.shard(v)
+        ]
+        cut = [(u, v) for u, v, _ in plan.cut_edges]
+        queries = st.builds(
+            FSPQuery, st.integers(0, n - 1), st.integers(0, n - 1),
+            st.integers(0, steps - 1),
+        )
+        kinds = ["query", "batch", "flow", "tick", "consolidate"]
+        kinds += ["intra"] * bool(intra) + ["cut"] * bool(cut)
+        for step in range(data.draw(st.integers(4, 16))):
+            kind = data.draw(st.sampled_from(kinds))
+            if kind == "query":
+                query = data.draw(queries)
+                got, want = flat.query(query), scalar.query(query)
+                assert got.result == want.result
+                assert got.source == want.source
+            elif kind == "batch":
+                batch = data.draw(st.lists(queries, min_size=1, max_size=6))
+                got = flat.batch(batch)
+                want = scalar.batch(batch)
+                assert [a.result for a in got] == [b.result for b in want]
+            elif kind in ("intra", "cut"):
+                u, v = data.draw(st.sampled_from(intra if kind == "intra" else cut))
+                value = float(data.draw(st.integers(1, 30)))
+                update = WeightUpdate(u, v, value, timestamp=float(step))
+                assert flat.submit(update).applied
+                assert scalar.submit(update).applied
+            elif kind == "flow":
+                vertex = data.draw(st.integers(0, n - 1))
+                value = float(data.draw(st.integers(0, 200)))
+                update = FlowUpdate(vertex, value, timestamp=float(step))
+                assert flat.submit(update).applied
+                assert scalar.submit(update).applied
+            elif kind == "tick":
+                assert flat.maintenance_tick() == scalar.maintenance_tick()
+            else:
+                assert flat.consolidate() == scalar.consolidate()
+            if kind not in ("query", "batch"):
+                _assert_table_matches_point_combine(flat)

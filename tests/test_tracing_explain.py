@@ -374,6 +374,59 @@ class TestExplain:
         assert explain.degraded
         assert explain.answer_source == "fallback"
 
+    def test_gateway_explain_boundary_route_reports_the_flat_kernel(self):
+        frn = _frn()
+        gateway = ShardedGateway(frn, num_shards=2, max_retries=0)
+        n = frn.num_vertices
+        u, v = next(
+            (u, v) for u in range(n) for v in range(n - 1, -1, -1)
+            if gateway._route_class(FSPQuery(u, v, 0))[0] == "boundary"
+        )
+        explain = gateway.explain(u, v)
+        # a fresh gateway: the explain built the kernel and its one table
+        stats = dict(gateway.flow_engine._flat_kernel_cache.stats)
+        expected = gateway.query(FSPQuery(u, v, 0)).result
+        assert explain.route == "boundary"
+        assert explain.kernel == "flat"
+        assert explain.heuristic_builds == stats["heuristic_builds"] == 1
+        assert explain.spur_searches == stats["astar_runs"] > 0
+        assert explain.spur_memo_hits == stats["spur_memo_hits"]
+        assert explain.spur_skips == stats["spur_skips"]
+        assert set(explain.stage_seconds) == {"spdis", "evaluate", "total"}
+        assert explain.stage_seconds["total"] >= explain.stage_seconds["evaluate"]
+        # the boundary oracle is not a hierarchy index: no label fields
+        assert explain.hub_cutset_size is None
+        assert explain.label_entries_source is None
+        assert explain.label_entries_target is None
+        assert (explain.distance, explain.flow, explain.score, explain.path) == (
+            expected.distance, expected.flow, expected.score, expected.path
+        )
+        assert explain.shortest_distance == expected.shortest_distance
+        assert explain.num_candidates == expected.num_candidates
+
+    def test_gateway_explain_leaves_the_result_cache_untouched(self):
+        frn = _frn()
+        gateway = ShardedGateway(frn, num_shards=2, max_retries=0)
+        n = frn.num_vertices
+        stale = FSPQuery(2, n - 3, 0)
+        gateway.query(stale)
+        u, v, w = next(iter(frn.graph.edges()))
+        assert gateway.submit(WeightUpdate(u, v, w + 1.0, timestamp=1.0)).applied
+        first, second = FSPQuery(0, n - 1, 0), FSPQuery(1, n - 2, 0)
+        gateway.query(first)
+        gateway.query(second)
+        stats = gateway.cache.stats()
+        order = list(gateway.cache._entries)
+        assert order[0] == ("q", stale.source, stale.target, 0)
+        verdicts = [
+            gateway.explain(q.source, q.target, q.timestep).cache_hit
+            for q in (first, stale, second, first)
+        ]
+        assert verdicts == [True, False, True, True]
+        # no hit/miss counted, no LRU move, the stale entry not dropped
+        assert gateway.cache.stats() == stats
+        assert list(gateway.cache._entries) == order
+
 
 # ----------------------------------------------------------------------
 # flight recorder
