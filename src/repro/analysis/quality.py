@@ -43,6 +43,9 @@ class PruningQuality:
     mean_score_gap: float      # mean |score(pruned) - score(reference)|
     max_score_gap: float
     mean_candidate_ratio: float  # candidates enumerated, pruned / reference
+    # queries where the bounds pruned every candidate, so candidate 0 (the
+    # spatially shortest) won by default rather than by score
+    all_pruned_share: float = 0.0
 
     def __str__(self) -> str:
         return (
@@ -50,7 +53,8 @@ class PruningQuality:
             f"path_agreement={self.path_agreement:.1%}, "
             f"mean_gap={self.mean_score_gap:.4f}, "
             f"max_gap={self.max_score_gap:.4f}, "
-            f"candidates={self.mean_candidate_ratio:.2f}x)"
+            f"candidates={self.mean_candidate_ratio:.2f}x, "
+            f"all_pruned={self.all_pruned_share:.1%})"
         )
 
 
@@ -63,12 +67,14 @@ def pruning_quality(
     if not queries:
         raise QueryError("pruning_quality needs at least one query")
     agreements = 0
+    all_pruned = 0
     gaps: list[float] = []
     ratios: list[float] = []
     for query in queries:
         expected = reference.query(query)
         got = pruned.query(query)
         agreements += got.path == expected.path
+        all_pruned += got.num_pruned == got.num_candidates > 0
         gaps.append(abs(got.score - expected.score))
         if expected.num_candidates:
             ratios.append(got.num_candidates / expected.num_candidates)
@@ -78,6 +84,7 @@ def pruning_quality(
         mean_score_gap=float(np.mean(gaps)),
         max_score_gap=float(np.max(gaps)),
         mean_candidate_ratio=float(np.mean(ratios)) if ratios else 1.0,
+        all_pruned_share=all_pruned / len(queries),
     )
 
 

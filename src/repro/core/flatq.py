@@ -1,11 +1,12 @@
 """Flat single-query FSPQ kernel over the packed label arena.
 
 An FSPQ query's time goes to candidate collection (Yen spur searches) and
-to the A* heuristic; on the serving benchmark's ``citywide_closed``
-workload (``servebench/``, traced, 2 CPUs) the flat kernel's own work,
-spur searches included, takes about 82% of request time and the
-heuristic table (``labeling.hierarchy``) about 14%.  Each reference spur
-search spends most of its time in per-vertex Python work: heuristic
+to the A* heuristic table.  On the serving benchmark's ``citywide_closed``
+workload (``servebench/``, traced, seed 0, 2 CPUs) the flat kernel's own
+work takes about 76% of request time and the heuristic table
+(``labeling.hierarchy``) about 18%; the kernel runs about 18 A* searches
+per query, where it ran 86 before spur certificates.  Each reference
+spur search spends most of its time in per-vertex Python work: heuristic
 calls into the oracle, dict-based distance maps, and banned-edge set
 construction that rescans every accepted path.  :class:`FlatQueryKernel`
 is a *path source* that keeps the exact algorithm — its stream is
@@ -30,15 +31,31 @@ state so the per-vertex work collapses:
   repeated deviation point is never searched twice;
 * a one-step lookahead lower bound skips spur searches that provably
   cannot yield a candidate within the distance bound or within the
-  consumer's remaining pull budget.
+  consumer's remaining pull budget;
+* most remaining spur searches are *certified* instead of searched
+  (the node-classification idea of Feng, Networks 2014).  Because ``h``
+  is exact it defines a shortest-path tree to the target; one pair of
+  numpy reductions per target gives every vertex's next hop in it and
+  whether that hop is the only tight one.  When the spur's cheapest
+  allowed first hop is a strict minimum and its tree tail has a unique
+  tight hop at every vertex and never re-enters the root, that path is
+  the *unique* shortest path of the restricted graph (banned edges all
+  leave the spur vertex, so the tail avoids them), and A* with the
+  consistent heuristic ``h`` must return exactly it.  With integral
+  weights every path sum is an exact float64 integer, so its cost
+  ``w + h[first]`` equals A*'s forward sum bit for bit.  Any tie, root
+  re-entry or non-integral weight falls back to A*.
 
 Every optimisation above is output-invariant: memoized searches are
-replayed under identical inputs, and a skipped spur search's candidate
-could never have been popped from the deviation frontier within the pull
-budget (its total is at least the lookahead bound, and at least
-``remaining`` queued candidates are no worse).  The property tests in
+replayed under identical inputs, a certified spur is the one path A*
+would return, and a skipped spur search's candidate could never have
+been popped from the deviation frontier within the pull budget (its
+total is at least the lookahead bound, and at least ``remaining`` queued
+candidates are no worse).  The property tests in
 ``tests/test_property_flat_kernel.py`` pin this down against the scalar
-path, including straight after ILU/ISU/GSU maintenance.
+path, including straight after ILU/ISU/GSU maintenance, and
+``tests/test_spur_certificate.py`` checks every certified spur against
+A* directly.
 
 The kernel snapshots ``index.label_version`` at build time; the engine
 rebuilds it whenever the version moves, so maintenance transparently
@@ -55,6 +72,8 @@ import heapq
 import math
 from typing import TYPE_CHECKING, Iterator
 
+import numpy as np
+
 from repro.paths.candidates import Candidates, DominanceStop, collect_candidates
 
 if TYPE_CHECKING:  # circular-import guard: overlay is typing-only here
@@ -67,6 +86,14 @@ _INF = math.inf
 #: heuristic tables kept per kernel; each is a Python-float list of length
 #: n, so a deep cache costs peak memory and buys no reuse
 _H_CACHE = 8
+#: float64 adds integers exactly below 2**53; a weight w with w * n under
+#: it keeps every simple-path sum (fewer than n edges) an exact integer
+_EXACT_SUM = float(2 ** 53)
+
+
+def _exact_weight(w: float, n: int) -> bool:
+    """Whether ``w`` keeps every path sum on an ``n``-vertex graph exact."""
+    return float(w).is_integer() and w * n < _EXACT_SUM
 
 
 class FlatQueryKernel:
@@ -92,8 +119,9 @@ class FlatQueryKernel:
         ``index.label_version`` at build time; :meth:`is_current` compares
         it so engines drop the kernel after any maintenance operation.
     stats:
-        Monotone counters (spur searches run / memoized / skipped,
-        heuristic tables built) — exported to ``repro.obs`` by the engine.
+        Monotone counters (A* searches run, spur searches memoized /
+        skipped / certified, heuristic tables built) — exported to
+        ``repro.obs`` by the engine.
     """
 
     def __init__(
@@ -117,6 +145,7 @@ class FlatQueryKernel:
         eid: dict[tuple[int, int], int] = {}
         adj: list[list[tuple[int, float, int]]] = []
         wmap: dict[tuple[int, int], float] = {}
+        inexact: set[tuple[int, int]] = set()
         for u in range(n):
             row = []
             for v, w in graph.neighbor_items(u):
@@ -124,6 +153,8 @@ class FlatQueryKernel:
                 e = eid.get(key)
                 if e is None:
                     e = eid[key] = len(eid)
+                    if not _exact_weight(w, n):
+                        inexact.add(key)
                 row.append((v, w, e))
                 wmap[(u, v)] = w
             adj.append(row)
@@ -136,12 +167,18 @@ class FlatQueryKernel:
         self._prev: list[int] = [0] * n
         self._stamp: list[int] = [0] * n
         self._token = 0
-        self._h_cache: dict[int, list[float]] = {}
+        # target -> [h table, spur-tree next hops or None (built lazily)]
+        self._h_cache: dict[int, list] = {}
         self._patched: set[tuple[int, int]] = set()
+        # edges whose weight breaks exact path sums; spur certificates are
+        # sound only while this is empty
+        self._inexact = inexact
+        self._csr: tuple[np.ndarray, ...] | None = None
         self.stats = {
             "astar_runs": 0,
             "spur_memo_hits": 0,
             "spur_skips": 0,
+            "spur_certified": 0,
             "heuristic_builds": 0,
         }
 
@@ -169,8 +206,10 @@ class FlatQueryKernel:
         Only edges the overlay tracks (now or at any point since the kernel
         was built) can have moved, so the patch is ``O(|D| · degree)``:
         update the affected adjacency rows and weight map in place, then
-        drop the heuristic tables (their values are overlay-dependent).
-        The spur memo lives per-enumeration, so nothing else is stale.
+        drop the heuristic tables and their spur trees (their values are
+        overlay-dependent).  A non-integral weight turns spur certificates
+        off until it is gone again.  The spur memo lives per-enumeration,
+        so nothing else is stale.
         """
         overlay = self.overlay
         if overlay is None or overlay.version == self.overlay_version:
@@ -190,6 +229,11 @@ class FlatQueryKernel:
                         row[i] = (v, w, e)
                         break
             self._patched.add((lo, hi))
+            if _exact_weight(w, self.num_vertices):
+                self._inexact.discard((lo, hi))
+            else:
+                self._inexact.add((lo, hi))
+            self._csr = None
         self._h_cache.clear()
         self.overlay_version = overlay.version
         self.graph_version = graph.mutation_version
@@ -210,26 +254,129 @@ class FlatQueryKernel:
         ``OverlayOracle.heuristic`` — keeping the two candidate streams
         aligned under continuous updates.
         """
-        h = self._h_cache.get(target)
-        if h is None:
+        entry = self._h_cache.get(target)
+        if entry is None:
             if len(self._h_cache) >= _H_CACHE:
                 self._h_cache.clear()
             if self.overlay is not None and not self.overlay.is_empty:
                 h = self.overlay.table_to(target).tolist()
             else:
                 h = self.index.distances_to(target).tolist()
-            self._h_cache[target] = h
+            entry = self._h_cache[target] = [h, None]
             self.stats["heuristic_builds"] += 1
-        return h
+        return entry[0]
 
     def distance(self, u: int, v: int) -> float:
         """Exact ``SPDis(u, v)``, served from a cached table when one exists."""
-        h = self._h_cache.get(v)
-        if h is not None:
-            return h[u]
+        entry = self._h_cache.get(v)
+        if entry is not None:
+            return entry[0][u]
         if self.overlay is not None and not self.overlay.is_empty:
             return self.h_to(v)[u]
         return self.index.distance(u, v)
+
+    # ------------------------------------------------------------------
+    # spur certificates
+    # ------------------------------------------------------------------
+    def _spur_tree(self, target: int, h: list[float]) -> list[int]:
+        """Unique next hops of the shortest-path tree ``h`` defines.
+
+        Entry ``v`` is the neighbour ``u`` with ``w(v, u) + h[u] == h[v]``
+        when exactly one neighbour is that tight, else ``-1`` (a tie, the
+        target itself, or a table that is not tight at ``v``).  Two numpy
+        reductions over a CSR copy of the adjacency rows; the result is
+        stored beside ``h`` in its cache entry, so the two drop together.
+        """
+        entry = self._h_cache.get(target)
+        if entry is not None and entry[0] is h and entry[1] is not None:
+            return entry[1]
+        if self._csr is None:
+            adj = self.adj
+            deg = np.fromiter(map(len, adj), dtype=np.intp, count=len(adj))
+            total = int(deg.sum())
+            nbr = np.fromiter(
+                (v for row in adj for v, _, _ in row), dtype=np.intp, count=total
+            )
+            wts = np.fromiter(
+                (w for row in adj for _, w, _ in row), dtype=np.float64,
+                count=total,
+            )
+            rows = np.flatnonzero(deg)
+            starts = (np.cumsum(deg) - deg)[rows]
+            owner = np.repeat(np.arange(len(adj)), deg)
+            self._csr = (rows, starts, owner, nbr, wts)
+        rows, starts, owner, nbr, wts = self._csr
+        hv = np.fromiter(h, dtype=np.float64, count=len(h))
+        nxt = np.full(len(hv), -1, dtype=np.intp)
+        if nbr.size:
+            cost = wts + hv[nbr]
+            best = np.full(len(hv), _INF)
+            best[rows] = np.minimum.reduceat(cost, starts)
+            tight = cost == best[owner]
+            unique = np.zeros(len(hv), dtype=bool)
+            unique[rows] = np.add.reduceat(tight, starts, dtype=np.intp) == 1
+            unique &= best == hv
+            pos = np.flatnonzero(tight & unique[owner])
+            nxt[owner[pos]] = nbr[pos]
+        tree = nxt.tolist()
+        if entry is not None and entry[0] is h:
+            entry[1] = tree
+        return tree
+
+    def _spur_lookahead(
+        self,
+        spur: int,
+        rootset: set[int],
+        banned_e: frozenset[int] | set[int],
+        h: list[float],
+    ) -> tuple[float, int]:
+        """Cheapest allowed first hop of a spur search: ``(w + h[v], v)``.
+
+        ``v`` is ``-1`` unless the minimum is strict.  Since ``h`` is exact,
+        the cost is a tight lower bound on the spur search's answer, and
+        equals it when :meth:`_certify_spur` accepts ``v``.
+        """
+        cost = _INF
+        first = -1
+        for v, w, e in self.adj[spur]:
+            if e not in banned_e and v not in rootset:
+                est = w + h[v]
+                if est < cost:
+                    cost = est
+                    first = v
+                elif est == cost:
+                    first = -1
+        return cost, first
+
+    def _certify_spur(
+        self,
+        spur: int,
+        first: int,
+        cost: float,
+        rootset: set[int],
+        tree: list[int],
+        target: int,
+    ) -> tuple[list[int], float] | None:
+        """The spur search's answer when the shortest-path tree proves it.
+
+        ``first`` is the strict cheapest first hop from
+        :meth:`_spur_lookahead`.  Walk its tree path to ``target``; every
+        tail vertex must have a unique tight next hop, and the tail must
+        not re-enter the root (``rootset`` or ``spur``).  Banned edges all
+        leave ``spur``, so such a tail avoids them too.  The restricted
+        shortest path is then unique, so A* with the consistent heuristic
+        ``h`` returns exactly this path.  With integral weights every sum
+        is exact, so the total ``cost`` equals A*'s forward sum bit for
+        bit.  Returns ``None`` when uniqueness is not proven.
+        """
+        path = [spur, first]
+        x = first
+        while x != target:
+            x = tree[x]
+            if x < 0 or x == spur or x in rootset:
+                return None
+            path.append(x)
+        return path, cost
 
     # ------------------------------------------------------------------
     # search
@@ -336,6 +483,8 @@ class FlatQueryKernel:
         counter = 0
         memo: dict[tuple, tuple[list[int] | None, float]] = {}
         stats = self.stats
+        certify = not self._inexact
+        tree: list[int] | None = None  # built on the first strict spur
         while True:
             base = accepted_last
             tbase = tuple(base)
@@ -353,14 +502,11 @@ class FlatQueryKernel:
                     # one-step lookahead lower bound on any spur deviation:
                     # the cheapest allowed first hop plus its exact
                     # remaining distance (h is exact, hence tight)
-                    lb = _INF
                     rootset = set(root[:-1])
-                    for v, w, e in self.adj[spur]:
-                        if e not in banned_e and v not in rootset:
-                            est = w + h[v]
-                            if est < lb:
-                                lb = est
-                    lb += prefix_cost
+                    cost, first = self._spur_lookahead(
+                        spur, rootset, banned_e, h
+                    )
+                    lb = cost + prefix_cost
                     if lb > max_distance or (
                         remaining is not None
                         and len(totals) >= remaining
@@ -373,10 +519,19 @@ class FlatQueryKernel:
                         stats["spur_skips"] += 1
                         prefix_cost += wmap[(base[i], base[i + 1])]
                         continue
-                    hit = self._astar(
-                        spur, target, h, frozenset(rootset), banned_e,
-                        max_distance - prefix_cost,
-                    )
+                    if first >= 0 and certify:
+                        if tree is None:
+                            tree = self._spur_tree(target, h)
+                        hit = self._certify_spur(
+                            spur, first, cost, rootset, tree, target
+                        )
+                    if hit is None:
+                        hit = self._astar(
+                            spur, target, h, frozenset(rootset), banned_e,
+                            max_distance - prefix_cost,
+                        )
+                    else:
+                        stats["spur_certified"] += 1
                     memo[mkey] = hit
                 else:
                     stats["spur_memo_hits"] += 1

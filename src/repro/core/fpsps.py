@@ -70,7 +70,7 @@ KERNEL_MODES = ("flat", "scalar")
 _KERNEL_COUNTERS = {
     "astar_runs": (
         "repro_flatq_spur_searches_total",
-        "A* spur searches run by the flat kernel",
+        "A* searches run by the flat kernel (certified spurs excluded)",
     ),
     "spur_memo_hits": (
         "repro_flatq_spur_memo_hits_total",
@@ -79,6 +79,10 @@ _KERNEL_COUNTERS = {
     "spur_skips": (
         "repro_flatq_spur_skips_total",
         "spur searches skipped by the lookahead lower bound",
+    ),
+    "spur_certified": (
+        "repro_flatq_spur_certified_total",
+        "spur searches answered by the shortest-path-tree certificate",
     ),
     "heuristic_builds": (
         "repro_flatq_heuristic_builds_total",
@@ -488,11 +492,10 @@ class FlowAwareEngine:
             label_dst = int(len(oracle.labels[target]))
         overlay_edges = len(overlay) if overlay is not None else 0
 
-        spur = {"astar_runs": 0, "spur_memo_hits": 0, "spur_skips": 0,
-                "heuristic_builds": 0}
-        if kern is not None:
-            for key in spur:
-                spur[key] = kern.stats[key] - kern_before[key]
+        spur = {
+            key: kern.stats[key] - kern_before[key] if kern is not None else 0
+            for key in _KERNEL_COUNTERS
+        }
         ctx = obs.current_context()
 
         return obs.QueryExplain(
@@ -525,6 +528,7 @@ class FlowAwareEngine:
             spur_searches=spur["astar_runs"],
             spur_memo_hits=spur["spur_memo_hits"],
             spur_skips=spur["spur_skips"],
+            spur_certified=spur["spur_certified"],
             heuristic_builds=spur["heuristic_builds"],
             provenance="overlay" if overlay_edges else "stable",
             overlay_edges=overlay_edges,

@@ -35,12 +35,15 @@ def run(config: ExperimentConfig) -> ExperimentTable:
             "path agree",
             "mean gap",
             "cand ratio",
+            "all pruned",
             "regret",
             "flow saved",
             "detour",
         ],
         notes=[
             "path agree / mean gap / cand ratio: FAHL-W vs FAHL-O;",
+            "all pruned: share of FAHL-W queries where Lemma 4 pruned every "
+            "candidate and the spatially shortest one won by default;",
             "regret: relative extra true congestion from predicted-flow "
             "routing; flow saved / detour: vs the spatial shortest path.",
         ],
@@ -88,6 +91,7 @@ def run(config: ExperimentConfig) -> ExperimentTable:
             agreement.path_agreement,
             agreement.mean_score_gap,
             agreement.mean_candidate_ratio,
+            agreement.all_pruned_share,
             regret.relative_regret,
             savings["mean_flow_savings"],
             savings["mean_detour"],

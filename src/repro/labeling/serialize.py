@@ -192,11 +192,12 @@ def load_index(path: str | Path) -> HierarchyIndex:
         raise  # includes IndexIntegrityError — already forensic
     except (
         OSError, KeyError, ValueError, EOFError, NotImplementedError,
-        zipfile.BadZipFile, zlib.error,
+        RuntimeError, zipfile.BadZipFile, zlib.error,
     ) as exc:
         # truncated zip central directory, missing arrays, short reads,
         # a corrupted compression-method field (zipfile's
-        # NotImplementedError) — numpy/zipfile surface them all
+        # NotImplementedError), a flipped "encrypted" flag bit (zipfile's
+        # RuntimeError: password required) — numpy/zipfile surface them all
         # differently; recovery needs one "this file is bad" signal
         raise IndexIntegrityError(
             path, f"unreadable archive ({type(exc).__name__}: {exc})"

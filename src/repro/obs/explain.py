@@ -57,6 +57,7 @@ class QueryExplain:
     spur_searches: int = 0
     spur_memo_hits: int = 0
     spur_skips: int = 0
+    spur_certified: int = 0
     heuristic_builds: int = 0
 
     # provenance
@@ -133,7 +134,8 @@ class QueryExplain:
             lines.append(
                 f"  flat kernel: {self.spur_searches} spur searches "
                 f"({self.spur_memo_hits} memo hits, {self.spur_skips} "
-                f"skipped), {self.heuristic_builds} heuristic builds"
+                f"skipped, {self.spur_certified} certified), "
+                f"{self.heuristic_builds} heuristic builds"
             )
         provenance = self.provenance
         if self.overlay_edges:

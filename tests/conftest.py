@@ -18,6 +18,8 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# the exactness suites' longer CI run: --hypothesis-profile=deep
+settings.register_profile("deep", settings.get_profile("repro"), max_examples=300)
 settings.load_profile("repro")
 
 

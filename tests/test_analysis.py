@@ -60,6 +60,22 @@ class TestPruningQuality:
         with pytest.raises(QueryError):
             pruning_quality(reference, pruned, [])
 
+    def test_all_pruned_share_counts_default_wins(self, engines, small_frn, rng):
+        index, reference, pruned = engines
+        queries = sample_queries(small_frn, rng)
+        # eta_u = 3, alpha = 0.5: the least-flow candidate always survives
+        assert pruning_quality(reference, pruned, queries).all_pruned_share == 0.0
+        # eta_u - 1 < alpha * eta_u puts Lemma 4's upper bound below the
+        # least flow: every candidate of a query with a flow spread is pruned
+        tight = FlowAwareEngine(small_frn, oracle=index, alpha=0.5,
+                                eta_u=1.5, pruning="lemma4", max_candidates=16)
+        results = [tight.query(q) for q in queries]
+        expected = sum(r.num_pruned == r.num_candidates for r in results)
+        assert expected > 0
+        quality = pruning_quality(reference, tight, queries)
+        assert quality.all_pruned_share == expected / len(queries)
+        assert "all_pruned=" in str(quality)
+
 
 class TestPredictionRegret:
     def test_perfect_prediction_zero_regret(self, small_frn, rng):

@@ -39,6 +39,7 @@ EXPECTED_FAMILIES = {
     ("repro_batch_runs_total", "counter", ("mode",)),
     ("repro_build_phase_seconds", "histogram", ("phase",)),
     ("repro_flatq_heuristic_builds_total", "counter", ()),
+    ("repro_flatq_spur_certified_total", "counter", ()),
     ("repro_flatq_spur_memo_hits_total", "counter", ()),
     ("repro_flatq_spur_searches_total", "counter", ()),
     ("repro_flatq_spur_skips_total", "counter", ()),

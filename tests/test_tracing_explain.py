@@ -392,6 +392,7 @@ class TestExplain:
         assert explain.spur_searches == stats["astar_runs"] > 0
         assert explain.spur_memo_hits == stats["spur_memo_hits"]
         assert explain.spur_skips == stats["spur_skips"]
+        assert explain.spur_certified == stats["spur_certified"]
         assert set(explain.stage_seconds) == {"spdis", "evaluate", "total"}
         assert explain.stage_seconds["total"] >= explain.stage_seconds["evaluate"]
         # the boundary oracle is not a hierarchy index: no label fields
