@@ -1,0 +1,133 @@
+"""Build-size ladder: FAHL index construction cost against graph size.
+
+Builds the FAHL index (β = 0.5, predicted flows) on the NYC dataset at
+×1/×2/×4/×8/×16; ×16 has about 30k vertices, the size of BRN, the paper's
+smallest network.  Per rung it records:
+
+* the elimination game's CPU seconds and the whole build's, each the
+  median of ``--repeat`` runs (``time.process_time``);
+* the index size (``index_size_bytes``) and the largest bag;
+* the dense core the elimination finished on: its vertex count k (the
+  ``repro_build_dense_core_vertices`` gauge, 0 when no bag got large
+  enough) and the MB of its k×k matrices;
+* ``HierarchyIndex.checksum()``, so runs on two commits can be diffed rung
+  by rung: equal checksums mean identical order, labels and vias.
+
+Results go to ``BENCH_build_ladder.json`` in the shared
+``{bench, env, config, results}`` layout.
+
+Run directly::
+
+    PYTHONPATH=src python benchmarks/bench_build_ladder.py
+    PYTHONPATH=src python benchmarks/bench_build_ladder.py --scales 1 2 --repeat 1
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+try:
+    from benchmarks._env import env_info
+except ModuleNotFoundError:  # run as a script: benchmarks/ is sys.path[0]
+    from _env import env_info
+from repro import obs
+from repro.core.fahl import FAHLIndex
+from repro.treedec.elimination import eliminate
+from repro.treedec.ordering import degree_flow_importance
+from repro.workloads.datasets import load_dataset
+
+_REPO_ROOT = Path(__file__).resolve().parent.parent
+_DENSE_GAUGE = "repro_build_dense_core_vertices"
+# bytes per dense-core cell (float64 weight, int32 middle, int32 stamp);
+# spelled out rather than imported so the script also runs on commits
+# that predate the dense phase (they report k = 0)
+_CELL_BYTES = 16
+BETA = 0.5
+
+
+def _cpu(fn):
+    start = time.process_time()
+    result = fn()
+    return time.process_time() - start, result
+
+
+def rung(scale: float, repeat: int, seed: int) -> dict:
+    frn = load_dataset("NYC", scale=scale, seed=seed).frn
+    graph = frn.graph
+    elimination_s: list[float] = []
+    build_s: list[float] = []
+    registry = obs.MetricsRegistry(enabled=True)
+    for _ in range(repeat):
+        # the game alone, with no index alive, as it runs inside a build
+        index = None
+        importance = degree_flow_importance(
+            graph, frn.total_predicted_flow(), beta=BETA
+        )
+        with obs.capture_registry(registry):
+            seconds, _ = _cpu(lambda: eliminate(graph, importance))
+        elimination_s.append(seconds)
+        seconds, index = _cpu(lambda: FAHLIndex.from_frn(frn, beta=BETA))
+        build_s.append(seconds)
+    dense_k = int(registry.gauge(_DENSE_GAUGE).value())
+    return {
+        "scale": scale,
+        "num_vertices": graph.num_vertices,
+        "num_edges": graph.num_edges,
+        "elimination_cpu_s": statistics.median(elimination_s),
+        "build_cpu_s": statistics.median(build_s),
+        "index_mb": index.index_size_bytes() / 1e6,
+        "max_bag": index.elim.treewidth,
+        "dense_core_vertices": dense_k,
+        "dense_matrix_mb": _CELL_BYTES * dense_k * dense_k / 1e6,
+        "checksum": index.checksum(),
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--scales", type=float, nargs="+",
+                        default=[1.0, 2.0, 4.0, 8.0, 16.0])
+    parser.add_argument("--repeat", type=int, default=3,
+                        help="builds per rung; CPU times are their median")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out", type=Path,
+                        default=_REPO_ROOT / "BENCH_build_ladder.json")
+    args = parser.parse_args()
+
+    results = []
+    for scale in args.scales:
+        row = rung(scale, args.repeat, args.seed)
+        results.append(row)
+        print(
+            f"NYC x{scale:g}: n={row['num_vertices']} "
+            f"elim {row['elimination_cpu_s']:.2f}s build {row['build_cpu_s']:.2f}s "
+            f"index {row['index_mb']:.1f} MB max bag {row['max_bag']} "
+            f"dense k={row['dense_core_vertices']} "
+            f"({row['dense_matrix_mb']:.1f} MB) {row['checksum']}",
+            flush=True,
+        )
+    payload = {
+        "bench": "build_ladder",
+        "env": env_info(),
+        "config": {
+            "dataset": "NYC",
+            "scales": args.scales,
+            "seed": args.seed,
+            "beta": BETA,
+            "repeat": args.repeat,
+            "timer": "time.process_time",
+        },
+        "results": results,
+    }
+    args.out.write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,6 +19,15 @@ construction: the state after ``k`` eliminations is fully determined by the
 current base weights plus the (repaired) bags of the first ``k`` vertices,
 because eliminating ``c`` contributes exactly ``bags[c][x] + bags[c][y]``
 to each pair ``(x, y)`` of its bag.
+
+The game runs in two phases inside one call.  Low-degree vertices go
+through a dict-and-lazy-heap loop; once the vertex about to go has a bag of
+:data:`DENSE_BAG` entries and the rest of the game has at least
+:data:`DENSE_MIN_CORE` vertices and fits :data:`DENSE_MAX_BYTES`, the
+remaining core moves onto k×k numpy matrices (weights, middles, insertion
+stamps) and each elimination becomes one argmin and one block update.
+Both phases give the same order, φ values and ordered bags, bit for bit
+(docs/ALGORITHMS.md §1).
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import obs
 from repro.errors import IndexBuildError
 from repro.graph.road_network import RoadNetwork
 from repro.treedec.ordering import ImportanceFunction
@@ -39,6 +49,28 @@ __all__ = [
     "replay_prefix",
     "run_elimination_steps",
 ]
+
+#: Bag size that hands the rest of the game to the dense phase.  At NYC×4
+#: the vertices eliminated after the first 16-entry bag are 22% of the
+#: order but hold 96% of Σ|bag|²; of 4/8/16/32/64, 16 is the fastest at
+#: NYC×2 and within 2% of the fastest at ×4 and ×8.
+DENSE_BAG = 16
+#: Cap on the dense phase's three k×k matrices: 32 MiB, so k ≤ 1448.  The
+#: matrices are freed before labelling, so the NYC×4 build still peaks at
+#: 129 MB RSS (126 MB without them), under that graph's serving peak.
+DENSE_MAX_BYTES = 32 << 20
+#: Bytes per core cell: float64 weight, int32 middle, int32 stamp.
+DENSE_CELL_BYTES = 8 + 4 + 4
+#: Least share of the core that must still be eliminated: building and
+#: writing back the matrices costs O(k²), which a 5-vertex ISU window in
+#: the NYC×4 tail cannot repay (90 ms dense against 1 ms in the dict loop).
+DENSE_ACTIVE_SHARE = 0.5
+#: Least core size: a dense step costs ~80 µs of numpy calls whatever its
+#: bag, which only large bags repay.  Full NYC builds cross over near
+#: k = 300 (×0.8, k = 260: 33.1 ms dense against 31.6 ms in the dict loop;
+#: ×1.2, k = 411: 56.5 against 65.7), and a ~460-vertex shard (k ≈ 40)
+#: pays a third more dense.
+DENSE_MIN_CORE = 300
 
 
 @dataclass
@@ -92,56 +124,203 @@ def run_elimination_steps(
 
     Returns ``(order, phi, bags, middles)`` for the eliminated vertices.
     """
-    heap: list[tuple[float, int]] = []
-    for v in active:
-        heapq.heappush(heap, (importance(v, len(adj[v])), v))
+    # the current φ of every remaining active vertex; each one's value is
+    # always queued, so a popped entry that disagrees is simply stale
+    remaining = {v: importance(v, len(adj[v])) for v in active}
+    heap = [(value, v) for v, value in remaining.items()]
+    heapq.heapify(heap)
 
-    remaining = set(active)
     order: list[int] = []
     phi: list[float] = []
     bags: dict[int, dict[int, float]] = {}
     middles: dict[int, dict[int, int | None]] = {}
+    # inactive vertices holding an edge, listed at the first large bag; the
+    # set only shrinks, so its length bounds their share of the core later
+    outside: list[int] | None = None
+    dense_tried = False
 
     while heap:
         value, v = heapq.heappop(heap)
-        if v not in remaining:
-            continue
-        current = importance(v, len(adj[v]))
-        if current != value:
-            # stale entry; push the fresh value and retry
-            heapq.heappush(heap, (current, v))
+        if remaining.get(v) != value:
             continue
 
-        remaining.discard(v)
-        order.append(v)
-        phi.append(current)
         bag = adj[v]
+        if len(bag) >= DENSE_BAG and not dense_tried:
+            if outside is None:
+                outside = [x for x, nbrs in enumerate(adj) if nbrs and x not in active]
+            size = len(remaining) + len(outside)
+            if size < DENSE_MIN_CORE:
+                dense_tried = True  # and it only shrinks from here
+            elif (DENSE_CELL_BYTES * size * size <= DENSE_MAX_BYTES
+                    and len(remaining) >= DENSE_ACTIVE_SHARE * size):
+                dense_tried = True
+                core = sorted(remaining.keys() | {x for x in outside if adj[x]})
+                if _finish_dense(adj, mids, importance, core, remaining,
+                                 (order, phi, bags, middles)):
+                    break
+
+        del remaining[v]
+        order.append(v)
+        phi.append(value)
         bags[v] = dict(bag)
-        middles[v] = {x: mids[v][x] for x in bag}
+        via = mids[v]
+        middles[v] = {x: via[x] for x in bag}
 
         nbrs = list(bag.items())
-        touched: set[int] = set()
         for i, (x, wx) in enumerate(nbrs):
-            del adj[x][v]
-            del mids[x][v]
-            touched.add(x)
+            adj_x = adj[x]
+            mids_x = mids[x]
+            del adj_x[v]
+            del mids_x[v]
             for y, wy in nbrs[i + 1:]:
                 shortcut = wx + wy
-                existing = adj[x].get(y)
+                existing = adj_x.get(y)
                 if existing is None or shortcut < existing:
-                    adj[x][y] = shortcut
+                    adj_x[y] = shortcut
                     adj[y][x] = shortcut
-                    mids[x][y] = v
+                    mids_x[y] = v
                     mids[y][x] = v
-                    touched.add(y)
         adj[v] = {}
         mids[v] = {}
 
-        for x in touched:
+        # every bag member lost v, so only they can have a new φ
+        for x in bag:
             if x in remaining:
-                heapq.heappush(heap, (importance(x, len(adj[x])), x))
+                value = importance(x, len(adj[x]))
+                if value != remaining[x]:
+                    remaining[x] = value
+                    heapq.heappush(heap, (value, x))
 
     return order, phi, bags, middles
+
+
+def _finish_dense(
+    adj: list[dict[int, float]],
+    mids: list[dict[int, int | None]],
+    importance: ImportanceFunction,
+    core: list[int],
+    remaining: dict[int, float],
+    out: tuple[list[int], list[float], dict[int, dict[int, float]],
+               dict[int, dict[int, int | None]]],
+) -> bool:
+    """Eliminate the ``remaining`` active vertices on matrices over ``core``.
+
+    ``core`` (ascending ids) holds every vertex still carrying an edge plus
+    the remaining active ones.  Each step is the dict loop's step, bit for
+    bit: the argmin of (φ, id) is the lazy heap's valid pop, the block
+    update keeps the strict ``<`` and its middle, and insertion stamps
+    ``(step, position in the eliminated bag)`` replay every dict's
+    insertion order.  A stamp's low bit marks an ``int`` cell, so every
+    value comes back with the type the dict loop's sum gives it (in a
+    core of one type the bit is constant; a mixed one updates it).  Appends
+    to ``out`` and writes the surviving inactive vertices' adjacency back
+    into ``adj``/``mids``.  Returns ``False``, changing nothing, when a
+    weight is not a Python ``int`` or ``float`` or float64 could not hold
+    every shortcut exactly.
+    """
+    k = len(core)
+    local = {v: i for i, v in enumerate(core)}
+    rows: list[int] = []
+    cols: list[int] = []
+    weights: list[float] = []
+    vias: list[int] = []
+    stamps: list[int] = []
+    for i, v in enumerate(core):
+        nbrs = adj[v]
+        via = mids[v]
+        rows += [i] * len(nbrs)
+        cols += map(local.__getitem__, nbrs)
+        weights += nbrs.values()
+        vias += [-1 if via[x] is None else via[x] for x in nbrs]
+        stamps += [2 * p + (type(w) is int) for p, w in enumerate(nbrs.values())]
+    kinds = set(map(type, weights))
+    if not kinds <= {int, float}:
+        return False
+    # every shortcut is a sum of core weights, so this bound keeps each int
+    # sum exact, as Python's int sums are, and each float sum finite (+inf
+    # marks a missing edge here)
+    if not 2 * sum(weights) < (2.0**53 if int in kinds else np.inf):
+        return False
+    mixed = len(kinds) == 2
+    bit = int(kinds == {int})
+
+    obs.gauge(
+        "repro_build_dense_core_vertices",
+        "vertices in the elimination's last dense core",
+    ).set(k)
+    ids = np.asarray(core, dtype=np.int64)
+    W = np.full((k, k), np.inf)
+    M = np.zeros((k, k), dtype=np.int32)
+    S = np.zeros((k, k), dtype=np.int32)
+    W[rows, cols] = weights
+    M[rows, cols] = vias
+    S[rows, cols] = stamps
+    deg = np.bincount(np.asarray(rows, dtype=np.int64), minlength=k)
+    live = np.fromiter((v in remaining for v in core), dtype=bool, count=k)
+    was_active = live.copy()
+    imp = np.full(k, np.inf)
+    imp[live] = importance(ids[live], deg[live])
+
+    # one int object per vertex id, shared by every dict that names it, as
+    # in the dict loop: fresh objects per entry would cost ~4 MB at NYC×4
+    vertex = list(range(len(adj)))
+
+    def row(i: int) -> tuple[np.ndarray, dict, dict]:
+        # row i's neighbours in dict order, and its weight and middle dicts
+        nbr = np.flatnonzero(W[i] < np.inf)
+        stamp = S[i, nbr]
+        rank = np.argsort(stamp)
+        nbr = nbr[rank]
+        keys = [core[j] for j in nbr.tolist()]
+        w = W[i, nbr]
+        if mixed:
+            kind = stamp[rank].tolist()
+            w = [int(x) if t & 1 else x for x, t in zip(w.tolist(), kind)]
+        else:
+            w = (w.astype(np.int64) if bit else w).tolist()
+        via = [None if m < 0 else vertex[m] for m in M[i, nbr].tolist()]
+        return nbr, dict(zip(keys, w)), dict(zip(keys, via))
+
+    order, phi, bags, middles = out
+    for step in range(1, len(remaining) + 1):
+        a = int(np.argmin(imp))
+        v = core[a]
+        nbr, bags[v], middles[v] = row(a)
+        order.append(v)
+        phi.append(float(imp[a]))
+
+        w = W[a, nbr]
+        cells = nbr[:, None] * k + nbr
+        old = W.take(cells)
+        shortcut = w[:, None] + w
+        better = shortcut < old
+        np.fill_diagonal(better, False)
+        W.put(cells[better], shortcut[better])
+        M.put(cells[better], v)
+        inserted = better & (old == np.inf)
+        S.put(cells[inserted], 2 * (step * k + np.nonzero(inserted)[1]) + bit)
+        if mixed:
+            # an improved cell keeps its stamp and takes its sum's type:
+            # int only for int + int
+            integral = S[a, nbr] & 1
+            fixed = cells[better]
+            S.put(fixed, (S.take(fixed) & ~1) | (integral[:, None] & integral)[better])
+        W[a, nbr] = np.inf
+        W[nbr, a] = np.inf
+        deg[nbr] += inserted.sum(axis=1) - 1
+
+        imp[a] = np.inf
+        live[a] = False
+        rescore = nbr[live[nbr]]
+        imp[rescore] = importance(ids[rescore], deg[rescore])
+
+    for i, v in enumerate(core):
+        if was_active[i]:
+            adj[v] = {}
+            mids[v] = {}
+        else:
+            _, adj[v], mids[v] = row(i)
+    return True
 
 
 def eliminate(

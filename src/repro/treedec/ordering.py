@@ -22,7 +22,10 @@ vertex becomes the root.  We therefore use ``1 - P̂``, which realises the
 described index; this reconciliation is recorded in DESIGN.md.
 
 Importance functions receive ``(vertex, current_degree)`` and must be pure:
-the engine re-evaluates them whenever a degree changes.
+the engine re-evaluates them whenever a degree changes.  They also take
+equal-length integer arrays ``(vertex_ids, degrees)`` and then return the
+float64 array of the per-vertex values, bit for bit (the elimination's
+dense phase re-scores a whole bag in one call).
 """
 
 from __future__ import annotations
@@ -41,14 +44,25 @@ __all__ = [
     "normalize_flows",
 ]
 
-ImportanceFunction = Callable[[int, int], float]
+#: ``φ(vertex, current_degree) -> float``.  It must also take equal-length
+#: integer arrays ``(vertex_ids, degrees)`` and return the float64 array of
+#: the per-vertex values, bit for bit: the elimination's dense phase calls
+#: that form once a bag reaches ``DENSE_BAG`` entries, so a scalar-only
+#: function fails there.
+ImportanceFunction = Callable[
+    [int | np.ndarray, int | np.ndarray], float | np.ndarray
+]
 
 
 def degree_importance() -> ImportanceFunction:
     """Classic min-degree importance (what H2H uses)."""
 
-    def importance(vertex: int, current_degree: int) -> float:
+    def importance(
+        vertex: int | np.ndarray, current_degree: int | np.ndarray
+    ) -> float | np.ndarray:
         del vertex  # degree only
+        if isinstance(current_degree, np.ndarray):
+            return current_degree.astype(np.float64)
         return float(current_degree)
 
     return importance
@@ -111,12 +125,22 @@ def degree_flow_importance(
             f"{graph.num_vertices} vertices"
         )
     normalized = normalize_flows(flows, anchors=anchors)
+    # the scalar path reads Python floats: same doubles, no numpy indexing
+    flow_term = normalized.tolist()
     d_max = max((graph.degree(v) for v in graph.vertices()), default=1) or 1
 
-    def importance(vertex: int, current_degree: int) -> float:
-        return float(
-            beta * (1.0 - normalized[vertex])
-            + (1.0 - beta) * current_degree / d_max
+    def importance(
+        vertex: int | np.ndarray, current_degree: int | np.ndarray
+    ) -> float | np.ndarray:
+        # one expression order for both forms, so they agree bit for bit
+        if isinstance(vertex, np.ndarray):
+            return (
+                beta * (1.0 - normalized[vertex])
+                + ((1.0 - beta) * current_degree) / d_max
+            )
+        return (
+            beta * (1.0 - flow_term[vertex])
+            + ((1.0 - beta) * current_degree) / d_max
         )
 
     return importance

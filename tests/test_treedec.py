@@ -57,6 +57,26 @@ class TestOrderings:
         imp = degree_flow_importance(triangle_graph, flows, beta=0.0)
         assert imp(0, 2) == imp(2, 2)
 
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 0.5, 0.7, 1.0])
+    def test_array_form_matches_scalar_bit_for_bit(self, medium_grid, beta):
+        rng = np.random.default_rng(int(beta * 10))
+        n = medium_grid.num_vertices
+        ids = rng.integers(0, n, size=500)
+        degrees = rng.integers(0, 60, size=500)
+        flows = rng.random(n) * 1000.0
+        for imp in (
+            degree_importance(),
+            degree_flow_importance(medium_grid, flows, beta=beta),
+            # anchors that put some normalised flows outside [0, 1]
+            degree_flow_importance(
+                medium_grid, flows, beta=beta, anchors=(200.0, 700.0)
+            ),
+        ):
+            scalar = np.array([imp(int(v), int(d)) for v, d in zip(ids, degrees)])
+            batch = imp(ids, degrees)
+            assert batch.dtype == np.float64
+            assert batch.tobytes() == scalar.tobytes()
+
     def test_degree_flow_validates(self, triangle_graph):
         with pytest.raises(IndexBuildError):
             degree_flow_importance(triangle_graph, np.array([1.0]), beta=0.5)
