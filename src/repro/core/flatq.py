@@ -25,13 +25,16 @@ state so the per-vertex work collapses:
 * A* runs on a prebuilt adjacency list (``neighbor_items`` order preserved,
   undirected edge ids precomputed) with stamped distance/parent arrays —
   no dict lookups, no per-search allocation;
-* Yen's banned-edge sets are maintained incrementally per accepted prefix
-  (``prefix_state``) instead of rescanning all accepted paths each round,
-  and spur searches are memoized on ``(root, banned-set version)`` so a
-  repeated deviation point is never searched twice;
+* Yen runs in Lawler's order (Management Science, 1972): an accepted
+  path spurs only from the index where it left its parent, because the
+  reference's spurs before it repeat searches already made.  Banned
+  edges live in a trie of the accepted paths (per root: children and
+  banned edge ids); a path reuses its parent's nodes up to its
+  deviation point, and the root's vertex set grows by one per spur;
 * a one-step lookahead lower bound skips spur searches that provably
   cannot yield a candidate within the distance bound or within the
-  consumer's remaining pull budget;
+  consumer's remaining pull budget (shrunk by its float rounding error
+  while any weight is non-integral);
 * most remaining spur searches are *certified* instead of searched
   (the node-classification idea of Feng, Networks 2014).  Because ``h``
   is exact it defines a shortest-path tree to the target; one pair of
@@ -46,20 +49,20 @@ state so the per-vertex work collapses:
   ``w + h[first]`` equals A*'s forward sum bit for bit.  Any tie, root
   re-entry or non-integral weight falls back to A*.
 
-Every optimisation above is output-invariant: memoized searches are
-replayed under identical inputs, a certified spur is the one path A*
+Every optimisation above is output-invariant: a spur Lawler's order
+drops repeats an earlier search, a certified spur is the one path A*
 would return, and a skipped spur search's candidate could never have
 been popped from the deviation frontier within the pull budget (its
 total is at least the lookahead bound, and at least ``remaining`` queued
-candidates are no worse).  The property tests in
-``tests/test_property_flat_kernel.py`` pin this down against the scalar
-path, including straight after ILU/ISU/GSU maintenance, and
+candidates are no worse).  ``tests/test_property_flat_kernel.py`` pins
+this down against the scalar path (answers, also straight after
+ILU/ISU/GSU maintenance, and raw streams under pull budgets), and
 ``tests/test_spur_certificate.py`` checks every certified spur against
 A* directly.
 
 The kernel snapshots ``index.label_version`` at build time; the engine
 rebuilds it whenever the version moves, so maintenance transparently
-invalidates the cached adjacency, heuristics and memo tables.  Any oracle
+invalidates the cached adjacency and heuristic tables.  Any oracle
 with ``distances_to``, ``label_version`` and the engine's ``graph`` can
 drive it; for one whose scalar ``heuristic`` factory reads the same
 tables (the sharded gateway's) the streams agree by construction.
@@ -119,9 +122,9 @@ class FlatQueryKernel:
         ``index.label_version`` at build time; :meth:`is_current` compares
         it so engines drop the kernel after any maintenance operation.
     stats:
-        Monotone counters (A* searches run, spur searches memoized /
-        skipped / certified, heuristic tables built) — exported to
-        ``repro.obs`` by the engine.
+        Monotone counters (A* searches run, spur searches skipped /
+        certified, heuristic tables built) — exported to ``repro.obs`` by
+        the engine; ``spur_memo_hits`` is deprecated and stays 0.
     """
 
     def __init__(
@@ -167,7 +170,7 @@ class FlatQueryKernel:
         self._prev: list[int] = [0] * n
         self._stamp: list[int] = [0] * n
         self._token = 0
-        # target -> [h table, spur-tree next hops or None (built lazily)]
+        # target -> [h list, h float64 array, spur tree (built lazily)]
         self._h_cache: dict[int, list] = {}
         self._patched: set[tuple[int, int]] = set()
         # edges whose weight breaks exact path sums; spur certificates are
@@ -208,8 +211,8 @@ class FlatQueryKernel:
         update the affected adjacency rows and weight map in place, then
         drop the heuristic tables and their spur trees (their values are
         overlay-dependent).  A non-integral weight turns spur certificates
-        off until it is gone again.  The spur memo lives per-enumeration,
-        so nothing else is stale.
+        off until it is gone again.  The trie of banned edges lives for one
+        enumeration, so nothing else is stale.
         """
         overlay = self.overlay
         if overlay is None or overlay.version == self.overlay_version:
@@ -259,10 +262,10 @@ class FlatQueryKernel:
             if len(self._h_cache) >= _H_CACHE:
                 self._h_cache.clear()
             if self.overlay is not None and not self.overlay.is_empty:
-                h = self.overlay.table_to(target).tolist()
+                table = self.overlay.table_to(target)
             else:
-                h = self.index.distances_to(target).tolist()
-            entry = self._h_cache[target] = [h, None]
+                table = self.index.distances_to(target)
+            entry = self._h_cache[target] = [table.tolist(), table, None]
             self.stats["heuristic_builds"] += 1
         return entry[0]
 
@@ -278,18 +281,18 @@ class FlatQueryKernel:
     # ------------------------------------------------------------------
     # spur certificates
     # ------------------------------------------------------------------
-    def _spur_tree(self, target: int, h: list[float]) -> list[int]:
-        """Unique next hops of the shortest-path tree ``h`` defines.
+    def _spur_tree(self, entry: list) -> list[int]:
+        """Unique next hops of the shortest-path tree of an h-cache entry.
 
         Entry ``v`` is the neighbour ``u`` with ``w(v, u) + h[u] == h[v]``
         when exactly one neighbour is that tight, else ``-1`` (a tie, the
         target itself, or a table that is not tight at ``v``).  Two numpy
-        reductions over a CSR copy of the adjacency rows; the result is
-        stored beside ``h`` in its cache entry, so the two drop together.
+        reductions over a CSR copy of the adjacency rows and the entry's
+        float64 table; the result is stored in the entry, so table and
+        tree drop together.
         """
-        entry = self._h_cache.get(target)
-        if entry is not None and entry[0] is h and entry[1] is not None:
-            return entry[1]
+        if entry[2] is not None:
+            return entry[2]
         if self._csr is None:
             adj = self.adj
             deg = np.fromiter(map(len, adj), dtype=np.intp, count=len(adj))
@@ -306,7 +309,7 @@ class FlatQueryKernel:
             owner = np.repeat(np.arange(len(adj)), deg)
             self._csr = (rows, starts, owner, nbr, wts)
         rows, starts, owner, nbr, wts = self._csr
-        hv = np.fromiter(h, dtype=np.float64, count=len(h))
+        hv = entry[1]
         nxt = np.full(len(hv), -1, dtype=np.intp)
         if nbr.size:
             cost = wts + hv[nbr]
@@ -318,16 +321,14 @@ class FlatQueryKernel:
             unique &= best == hv
             pos = np.flatnonzero(tight & unique[owner])
             nxt[owner[pos]] = nbr[pos]
-        tree = nxt.tolist()
-        if entry is not None and entry[0] is h:
-            entry[1] = tree
+        tree = entry[2] = nxt.tolist()
         return tree
 
     def _spur_lookahead(
         self,
         spur: int,
         rootset: set[int],
-        banned_e: frozenset[int] | set[int],
+        banned_e: set[int],
         h: list[float],
     ) -> tuple[float, int]:
         """Cheapest allowed first hop of a spur search: ``(w + h[v], v)``.
@@ -386,8 +387,8 @@ class FlatQueryKernel:
         source: int,
         target: int,
         h: list[float],
-        banned_v: frozenset[int],
-        banned_e: frozenset[int] | set[int],
+        banned_v: set[int],
+        banned_e: set[int],
         cutoff: float,
     ) -> tuple[list[int] | None, float]:
         """A* on the flat adjacency; mirrors ``astar_path`` operation for
@@ -448,115 +449,103 @@ class FlatQueryKernel:
         engine pulls at most ``max_candidates + 1`` paths); it only
         enables the frontier-budget spur skip and never changes which
         paths are produced within the budget.
+
+        Lawler's order: a path that left its parent at index ``i`` spurs
+        at ``i..L-2`` only.  At ``j < i`` its root and its edge are the
+        parent's, so the root's banned set is unchanged; a root's banned
+        set grows only at or after an accepted path's deviation index, and
+        that path's loop spurs it.  So each (root, banned set) is searched
+        once; the reference's repeats re-find queued candidates.  A
+        skipped spur stays skipped: the distance skip is permanent, and
+        the budget skip's count of queued totals ``<= lb`` drops by at
+        most one per pop (as ``remaining`` does) and never on a push.
+        With a non-integral weight, ``lb`` and a total are float sums of
+        fewer than ``n`` positive terms, each within ``1 ± n·2**-53`` of
+        exact, so ``lb`` shrinks by ``4(n + 2)·2**-53``.
         """
         h = self.h_to(target)
-        empty: frozenset[int] = frozenset()
-        best, best_dist = self._astar(source, target, h, empty, empty, max_distance)
+        entry = self._h_cache[target]
+        best, best_dist = self._astar(source, target, h, set(), set(), max_distance)
         if not best or best_dist > max_distance:
             return
         yield best, best_dist
         yielded = 1
-        accepted_last = best
-        seen = {tuple(best)}
-        # per accepted-prefix deviation state: [banned edge ids, version];
-        # the version makes (root, version) a sound memo key for spur runs
-        prefix_state: dict[tuple[int, ...], list] = {}
         wmap = self.wmap
         eid = self.eid
-
-        def add_accepted(path: list[int]) -> None:
-            tp = tuple(path)
-            for i in range(len(path) - 1):
-                key = tp[:i + 1]
-                s = prefix_state.get(key)
-                if s is None:
-                    s = prefix_state[key] = [set(), 0]
-                a, b = path[i], path[i + 1]
-                e = eid[(a, b) if a < b else (b, a)]
-                if e not in s[0]:
-                    s[0].add(e)
-                    s[1] += 1
-
-        add_accepted(best)
-        frontier: list[tuple[float, int, list[int]]] = []
+        stats = self.stats
+        exact = not self._inexact
+        # lb and a total round differently unless every sum is exact
+        shrink = 1.0 if exact else 1.0 - 4 * (self.num_vertices + 2) / _EXACT_SUM
+        tree: list[int] | None = None  # built on the first strict spur
+        seen = {tuple(best)}
+        # (total, tie, path, parent's trie nodes, deviation index, prefix
+        # cost there); a trie node is (children by vertex, banned edge ids)
+        frontier: list[tuple] = []
         totals: list[float] = []  # frontier totals, sorted (budget skip)
         counter = 0
-        memo: dict[tuple, tuple[list[int] | None, float]] = {}
-        stats = self.stats
-        certify = not self._inexact
-        tree: list[int] | None = None  # built on the first strict spur
-        while True:
-            base = accepted_last
-            tbase = tuple(base)
+        base, parent_nodes, dev, prefix_cost = best, [({}, set())], 0, 0.0
+        while max_pulls is None or yielded < max_pulls:
             remaining = None if max_pulls is None else max_pulls - yielded
-            prefix_cost = 0.0
-            for i in range(len(base) - 1):
+            nodes = parent_nodes[:dev + 1]
+            node = nodes[dev]
+            rootset = set(base[:dev])
+            for i in range(dev, len(base) - 1):
                 spur = base[i]
-                root = tbase[:i + 1]
-                s = prefix_state.get(root)
-                banned_e = s[0] if s is not None else empty
-                ver = s[1] if s is not None else 0
-                mkey = (root, ver)
-                hit = memo.get(mkey)
-                if hit is None:
-                    # one-step lookahead lower bound on any spur deviation:
-                    # the cheapest allowed first hop plus its exact
-                    # remaining distance (h is exact, hence tight)
-                    rootset = set(root[:-1])
-                    cost, first = self._spur_lookahead(
-                        spur, rootset, banned_e, h
-                    )
-                    lb = cost + prefix_cost
-                    if lb > max_distance or (
-                        remaining is not None
-                        and len(totals) >= remaining
-                        and totals[remaining - 1] <= lb
-                    ):
-                        # either no deviation fits the distance bound, or
-                        # >= remaining queued candidates are no worse than
-                        # this spur's best possible total — it could never
-                        # be popped within the consumer's budget
-                        stats["spur_skips"] += 1
-                        prefix_cost += wmap[(base[i], base[i + 1])]
-                        continue
-                    if first >= 0 and certify:
+                nxt = base[i + 1]
+                banned_e = node[1]
+                banned_e.add(eid[(spur, nxt) if spur < nxt else (nxt, spur)])
+                # one-step lookahead lower bound on any spur deviation: the
+                # cheapest allowed first hop plus its exact remaining
+                # distance (h is exact, hence tight)
+                cost, first = self._spur_lookahead(spur, rootset, banned_e, h)
+                lb = (cost + prefix_cost) * shrink
+                if lb > max_distance or (
+                    remaining is not None
+                    and len(totals) >= remaining
+                    and totals[remaining - 1] <= lb
+                ):
+                    # either no deviation fits the distance bound, or
+                    # >= remaining queued candidates are no worse than this
+                    # spur's best possible total — it could never be popped
+                    # within the consumer's budget
+                    stats["spur_skips"] += 1
+                else:
+                    hit = None
+                    if first >= 0 and exact:
                         if tree is None:
-                            tree = self._spur_tree(target, h)
+                            tree = self._spur_tree(entry)
                         hit = self._certify_spur(
                             spur, first, cost, rootset, tree, target
                         )
                     if hit is None:
                         hit = self._astar(
-                            spur, target, h, frozenset(rootset), banned_e,
+                            spur, target, h, rootset, banned_e,
                             max_distance - prefix_cost,
                         )
                     else:
                         stats["spur_certified"] += 1
-                    memo[mkey] = hit
-                else:
-                    stats["spur_memo_hits"] += 1
-                spur_path, spur_dist = hit
-                if spur_path:
-                    total = prefix_cost + spur_dist
-                    if total <= max_distance:
-                        candidate = list(root[:-1]) + spur_path
-                        key = tuple(candidate)
-                        if key not in seen:
-                            seen.add(key)
-                            counter += 1
-                            heapq.heappush(frontier, (total, counter, candidate))
-                            bisect.insort(totals, total)
-                prefix_cost += wmap[(base[i], base[i + 1])]
+                    spur_path, spur_dist = hit
+                    if spur_path:
+                        total = prefix_cost + spur_dist
+                        if total <= max_distance:
+                            candidate = base[:i] + spur_path
+                            key = tuple(candidate)
+                            if key not in seen:
+                                seen.add(key)
+                                counter += 1
+                                heapq.heappush(frontier, (total, counter, candidate,
+                                                          nodes, i, prefix_cost))
+                                bisect.insort(totals, total)
+                prefix_cost += wmap[(spur, nxt)]
+                rootset.add(spur)
+                node = node[0].get(nxt) or node[0].setdefault(nxt, ({}, set()))
+                nodes.append(node)
             if not frontier:
                 return
-            dist, _, path = heapq.heappop(frontier)
+            dist, _, base, parent_nodes, dev, prefix_cost = heapq.heappop(frontier)
             totals.pop(bisect.bisect_left(totals, dist))
-            accepted_last = path
-            add_accepted(path)
-            yield path, dist
+            yield base, dist
             yielded += 1
-            if max_pulls is not None and yielded >= max_pulls:
-                return
 
     # ------------------------------------------------------------------
     # candidate collection (the engine's two consumer shapes)

@@ -74,7 +74,7 @@ _KERNEL_COUNTERS = {
     ),
     "spur_memo_hits": (
         "repro_flatq_spur_memo_hits_total",
-        "spur searches answered from the kernel memo table",
+        "deprecated, always 0: the flat kernel has no spur memo",
     ),
     "spur_skips": (
         "repro_flatq_spur_skips_total",
@@ -592,9 +592,11 @@ class FlowAwareEngine:
             )
         if before is not None:
             for key, (metric, help_text) in _KERNEL_COUNTERS.items():
+                # registered even at 0: the deprecated memo counter never moves
+                counter = registry.counter(metric, help_text)
                 delta = kern.stats[key] - before[key]
                 if delta:
-                    registry.counter(metric, help_text).inc(delta)
+                    counter.inc(delta)
         if not candidates.paths:
             raise QueryError(
                 f"no candidate paths between {source} and {target} "

@@ -55,7 +55,7 @@ class QueryExplain:
 
     # flat-kernel work counters (0 on the scalar path)
     spur_searches: int = 0
-    spur_memo_hits: int = 0
+    spur_memo_hits: int = 0  # deprecated: always 0 (the spur memo is gone)
     spur_skips: int = 0
     spur_certified: int = 0
     heuristic_builds: int = 0
@@ -133,8 +133,7 @@ class QueryExplain:
         if self.kernel == "flat":
             lines.append(
                 f"  flat kernel: {self.spur_searches} spur searches "
-                f"({self.spur_memo_hits} memo hits, {self.spur_skips} "
-                f"skipped, {self.spur_certified} certified), "
+                f"({self.spur_skips} skipped, {self.spur_certified} certified), "
                 f"{self.heuristic_builds} heuristic builds"
             )
         provenance = self.provenance

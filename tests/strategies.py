@@ -39,3 +39,32 @@ def flow_vectors(draw, graph: RoadNetwork, max_flow: int = 100):
     return [
         float(draw(st.integers(0, max_flow))) for _ in range(graph.num_vertices)
     ]
+
+
+@st.composite
+def chorded_grids(draw, max_side: int = 6, weights=None):
+    """A grid of at most ``max_side²`` vertices with random diagonal chords.
+
+    ``weights`` draws each edge weight; by default unit or small integer
+    weights, so equal-length paths (ties), deviations that re-enter an
+    earlier root and many simple paths within a small stretch abound.
+    """
+    if weights is None:
+        weights = st.sampled_from((1, 2, 3)).flatmap(lambda m: st.integers(1, m))
+    rows = draw(st.integers(2, max_side))
+    cols = draw(st.integers(2, max_side))
+    graph = RoadNetwork(rows * cols)
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                graph.add_edge(v, v + 1, float(draw(weights)))
+            if r + 1 < rows:
+                graph.add_edge(v, v + cols, float(draw(weights)))
+            if r + 1 < rows and c + 1 < cols:
+                chord = draw(st.sampled_from((None, "down", "up", None)))
+                if chord == "down":
+                    graph.add_edge(v, v + cols + 1, float(draw(weights)))
+                elif chord == "up":
+                    graph.add_edge(v + 1, v + cols, float(draw(weights)))
+    return graph

@@ -424,10 +424,17 @@ class TestKernelTelemetry:
                 engine.query(query)
         finally:
             obs.set_registry(previous)
-        runs = registry.get("repro_flatq_spur_searches_total")
-        builds = registry.get("repro_flatq_heuristic_builds_total")
-        assert runs is not None and runs.total() > 0
-        assert builds is not None and builds.total() > 0
+        for family in (
+            "repro_flatq_spur_searches_total",
+            "repro_flatq_spur_skips_total",
+            "repro_flatq_spur_certified_total",
+            "repro_flatq_heuristic_builds_total",
+        ):
+            counter = registry.get(family)
+            assert counter is not None and counter.total() > 0, family
+        # deprecated: Lawler-order Yen keeps no memo, the counter stays 0
+        memo = registry.get("repro_flatq_spur_memo_hits_total")
+        assert memo is not None and memo.total() == 0
 
 
 # ----------------------------------------------------------------------

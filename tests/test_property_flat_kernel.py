@@ -6,22 +6,31 @@ reference — dataclass equality, so every float compares bitwise — for
 every pruning mode, and it must stay identical immediately after
 ILU / ISU / GSU maintenance (the kernel's precomputed state has to be
 invalidated by the label-version bump alone, with no explicit reset).
+Below the answers, the kernel's raw ``(path, distance)`` stream must
+equal scalar Yen's under every pull budget, on tie-rich chorded grids.
 """
 
 from __future__ import annotations
+
+import itertools
+from collections import Counter
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.fahl import FAHLIndex
+from repro.core.flatq import FlatQueryKernel
 from repro.core.fpsps import PRUNING_MODES, FlowAwareEngine
 from repro.core.fspq import FSPQuery
 from repro.core.maintenance import apply_flow_update, apply_weight_update
 from repro.errors import QueryError
 from repro.flow.series import FlowSeries
 from repro.graph.frn import FlowAwareRoadNetwork
-from tests.strategies import connected_graphs
+from repro.graph.road_network import RoadNetwork
+from repro.paths.astar_search import OracleHeuristic
+from repro.paths.yen import iter_shortest_paths
+from tests.strategies import chorded_grids, connected_graphs
 
 
 def _engines(frn, index, pruning, max_candidates=16):
@@ -111,3 +120,99 @@ def test_flat_truncation_flags_identical(graph, data):
     flat, scalar = _engines(frn, index, pruning, max_candidates=2)
     flat.min_candidates = scalar.min_candidates = 1
     _assert_identical(flat, scalar, graph, data, queries=6)
+
+
+#: paths compared when the kernel runs without a pull budget
+_UNBUDGETED_PULLS = 40
+
+
+def _kernel(graph):
+    """A zero-flow FAHL index of ``graph`` and a flat kernel over it."""
+    flows = np.zeros(graph.num_vertices)
+    index = FAHLIndex(graph, flows, beta=0.5)
+    frn = FlowAwareRoadNetwork(graph, FlowSeries(flows[None, :]))
+    return index, FlatQueryKernel(index, frn)
+
+
+def _stream_counts(graphs) -> Counter:
+    """Compare raw streams on ``graphs`` draws; sum the kernel's stats."""
+    counts: Counter = Counter()
+
+    @given(graph=graphs, data=st.data())
+    def check(graph, data):
+        n = graph.num_vertices
+        index, kernel = _kernel(graph)
+        for _ in range(3):
+            s = data.draw(st.integers(0, n - 1))
+            t = data.draw(st.integers(0, n - 1))
+            if s == t:
+                continue
+            pulls = data.draw(st.one_of(st.none(), st.integers(1, 10)))
+            stretch = data.draw(st.sampled_from((1.0, 1.25, 1.5, 2.0, 3.0)))
+            bound = stretch * index.distance(s, t)
+            cut = _UNBUDGETED_PULLS if pulls is None else pulls
+            skips = kernel.stats["spur_skips"]
+            # a budgeted stream must end by itself after ``pulls`` paths
+            stream = kernel.iter_paths(s, t, bound, max_pulls=pulls)
+            flat = list(itertools.islice(stream, cut) if pulls is None else stream)
+            skips = kernel.stats["spur_skips"] - skips
+            scalar = list(itertools.islice(
+                iter_shortest_paths(
+                    graph, s, t, OracleHeuristic(index, t), bound
+                ),
+                cut,
+            ))
+            assert flat == scalar, (s, t, pulls, bound)
+            if pulls is not None:
+                # the same pulls without a budget visit the same spurs and
+                # skip only on distance: the difference is budget skips
+                unbudgeted = kernel.stats["spur_skips"]
+                assert list(itertools.islice(
+                    kernel.iter_paths(s, t, bound), cut
+                )) == flat
+                unbudgeted = kernel.stats["spur_skips"] - unbudgeted
+                counts["budget_skips"] += skips - unbudgeted
+        counts.update(kernel.stats)
+
+    check()
+    return counts
+
+
+def test_raw_stream_identical_under_pull_budgets():
+    """Integer weights: every skip and certificate path is exercised."""
+    counts = _stream_counts(chorded_grids())
+    # budget skips, distance skips and certificates all fired
+    assert counts["budget_skips"] > 0, counts
+    assert counts["spur_skips"] > counts["budget_skips"], counts
+    assert counts["spur_certified"] > 0, counts
+    assert counts["astar_runs"] > 0, counts
+    assert counts["spur_memo_hits"] == 0, counts
+
+
+def test_raw_stream_identical_with_float_weights():
+    """Non-integral weights: certificates off, A* answers every spur."""
+    weights = st.sampled_from((0.1, 0.2, 0.3, 0.7, 1.1))
+    counts = _stream_counts(chorded_grids(max_side=5, weights=weights))
+    assert counts["spur_certified"] == 0, counts
+    # float budget skips are rare here; the 6-vertex case below pins one
+    assert counts["spur_skips"] > 0, counts
+
+
+def test_budget_skip_allows_for_float_rounding():
+    """A lookahead bound that rounds above a total must not skip its spur.
+
+    The second path 3-4-1-2-5 totals 1.1 + 1.5 = 2.6, while its spur's
+    lookahead bound and the queued 3-0-1-2-5 both read 2.6000000000000005;
+    taken at face value, the budget skip would drop the better path.
+    """
+    graph = RoadNetwork(6, edges=[
+        (0, 1, 0.3), (0, 3, 1.1), (1, 2, 0.1), (1, 4, 0.3),
+        (2, 5, 1.1), (3, 4, 1.1), (4, 5, 1.1),
+    ])
+    index, kernel = _kernel(graph)
+    bound = 1.25 * index.distance(3, 5)
+    scalar = list(itertools.islice(
+        iter_shortest_paths(graph, 3, 5, OracleHeuristic(index, 5), bound), 2
+    ))
+    assert scalar[1][0] == [3, 4, 1, 2, 5]
+    assert list(kernel.iter_paths(3, 5, bound, max_pulls=2)) == scalar

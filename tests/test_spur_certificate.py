@@ -71,7 +71,7 @@ def test_certified_spurs_equal_astar():
             root = _random_root(kernel, spur, target, rng)
             rootset = set(root[:-1])
             # Yen bans edges out of the spur vertex only
-            banned = frozenset(
+            banned = set(
                 e for _, _, e in kernel.adj[spur] if rng.random() < 0.3
             )
             h = kernel.h_to(target)
@@ -79,15 +79,14 @@ def test_certified_spurs_equal_astar():
             if first < 0:
                 outcomes["tie or dead end"] += 1
                 continue
-            hit = kernel._certify_spur(
-                spur, first, cost, rootset, kernel._spur_tree(target, h), target
-            )
+            tree = kernel._spur_tree(kernel._h_cache[target])
+            hit = kernel._certify_spur(spur, first, cost, rootset, tree, target)
             if hit is None:
                 outcomes["rejected"] += 1
                 continue
             outcomes["certified"] += 1
             assert hit == kernel._astar(
-                spur, target, h, frozenset(rootset), banned, math.inf
+                spur, target, h, rootset, banned, math.inf
             ), (root, sorted(banned))
 
     check()
