@@ -11,7 +11,14 @@ smallest network.  Per rung it records:
   ``repro_build_dense_core_vertices`` gauge, 0 when no bag got large
   enough) and the MB of its k×k matrices;
 * ``HierarchyIndex.checksum()``, so runs on two commits can be diffed rung
-  by rung: equal checksums mean identical order, labels and vias.
+  by rung: equal checksums mean identical order, labels and vias;
+* the query side's one-to-all heuristic table: CPU ms per target for
+  64 seeded targets, one ``distances_to`` call each (k = 1) and two
+  ``distances_to_many`` sweeps of 32 (k = 32), each the median of
+  ``--repeat`` runs, with every swept row asserted bit-identical to its
+  single table.  The sweep plan is built before the timing, and after
+  ``index_mb`` is read.  Commits without ``distances_to_many`` report
+  ``null`` for k = 32.
 
 Results go to ``BENCH_build_ladder.json`` in the shared
 ``{bench, env, config, results}`` layout.
@@ -31,6 +38,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 try:
     from benchmarks._env import env_info
 except ModuleNotFoundError:  # run as a script: benchmarks/ is sys.path[0]
@@ -48,12 +57,44 @@ _DENSE_GAUGE = "repro_build_dense_core_vertices"
 # that predate the dense phase (they report k = 0)
 _CELL_BYTES = 16
 BETA = 0.5
+#: heuristic tables timed per rung, swept SWEEP_K at a time
+TABLE_TARGETS = 64
+SWEEP_K = 32
 
 
 def _cpu(fn):
     start = time.process_time()
     result = fn()
     return time.process_time() - start, result
+
+
+def table_ms(index, repeat: int, seed: int) -> tuple[float, float | None]:
+    """Median CPU ms per one-to-all table at k = 1 and at k = ``SWEEP_K``."""
+    n = index.graph.num_vertices
+    targets = np.random.default_rng(seed).choice(
+        n, size=min(TABLE_TARGETS, n), replace=False
+    )
+    index.distances_to(int(targets[0]))  # the sweep plan, outside the timing
+    many = getattr(index, "distances_to_many", None)
+    single_s: list[float] = []
+    many_s: list[float] = []
+    for _ in range(repeat):
+        seconds, rows = _cpu(lambda: [index.distances_to(int(t)) for t in targets])
+        single_s.append(seconds)
+        if many is None:
+            continue
+        seconds, blocks = _cpu(lambda: [
+            many(targets[i:i + SWEEP_K]) for i in range(0, len(targets), SWEEP_K)
+        ])
+        many_s.append(seconds)
+        swept = np.concatenate(blocks)
+        if not np.array_equal(swept.view(np.int64), np.asarray(rows).view(np.int64)):
+            raise RuntimeError("a swept table differs from its single table")
+    per_target = 1e3 / len(targets)
+    return (
+        statistics.median(single_s) * per_target,
+        statistics.median(many_s) * per_target if many_s else None,
+    )
 
 
 def rung(scale: float, repeat: int, seed: int) -> dict:
@@ -74,17 +115,21 @@ def rung(scale: float, repeat: int, seed: int) -> dict:
         seconds, index = _cpu(lambda: FAHLIndex.from_frn(frn, beta=BETA))
         build_s.append(seconds)
     dense_k = int(registry.gauge(_DENSE_GAUGE).value())
+    index_mb = index.index_size_bytes() / 1e6
+    table_k1_ms, table_k32_ms = table_ms(index, repeat, seed)
     return {
         "scale": scale,
         "num_vertices": graph.num_vertices,
         "num_edges": graph.num_edges,
         "elimination_cpu_s": statistics.median(elimination_s),
         "build_cpu_s": statistics.median(build_s),
-        "index_mb": index.index_size_bytes() / 1e6,
+        "index_mb": index_mb,
         "max_bag": index.elim.treewidth,
         "dense_core_vertices": dense_k,
         "dense_matrix_mb": _CELL_BYTES * dense_k * dense_k / 1e6,
         "checksum": index.checksum(),
+        "table_k1_ms_per_target": table_k1_ms,
+        "table_k32_ms_per_target": table_k32_ms,
     }
 
 
@@ -108,7 +153,9 @@ def main() -> int:
             f"elim {row['elimination_cpu_s']:.2f}s build {row['build_cpu_s']:.2f}s "
             f"index {row['index_mb']:.1f} MB max bag {row['max_bag']} "
             f"dense k={row['dense_core_vertices']} "
-            f"({row['dense_matrix_mb']:.1f} MB) {row['checksum']}",
+            f"({row['dense_matrix_mb']:.1f} MB) {row['checksum']} "
+            f"table {row['table_k1_ms_per_target']:.2f} ms/target at k=1, "
+            f"{row['table_k32_ms_per_target'] or float('nan'):.2f} at k={SWEEP_K}",
             flush=True,
         )
     payload = {
@@ -121,6 +168,8 @@ def main() -> int:
             "beta": BETA,
             "repeat": args.repeat,
             "timer": "time.process_time",
+            "table_targets": TABLE_TARGETS,
+            "sweep_k": SWEEP_K,
         },
         "results": results,
     }

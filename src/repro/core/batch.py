@@ -48,12 +48,60 @@ logger = logging.getLogger("repro.batch")
 # ----------------------------------------------------------------------
 # chunk evaluation (shared by the serial path and the pool workers)
 # ----------------------------------------------------------------------
+#: distinct targets whose heuristic tables one bag sweep builds together;
+#: measured: on NYC×4, 64 targets a sweep cost more per target than 32
+_SWEEP_TARGETS = 32
+
+
 def _evaluate_chunk(
     engine: FlowAwareEngine,
     indexed: list[tuple[int, FSPQuery]],
 ) -> list[tuple[int, FSPResult]]:
-    """Evaluate ``(position, query)`` pairs in order."""
-    return [(position, engine.query(query)) for position, query in indexed]
+    """Evaluate ``(position, query)`` pairs in order.
+
+    On the flat kernel the pairs go in slices of up to
+    :data:`_SWEEP_TARGETS` distinct targets, and the kernel sweeps each
+    slice's heuristic tables in one multi-target pass
+    (:meth:`~repro.core.flatq.FlatQueryKernel.prefetch`) before the slice
+    is evaluated.
+    """
+    pairs: list[tuple[int, FSPResult]] = []
+    start = 0
+    while start < len(indexed):
+        targets: set[int] = set()
+        end = start
+        while end < len(indexed) and (
+            indexed[end][1].target in targets or len(targets) < _SWEEP_TARGETS
+        ):
+            targets.add(indexed[end][1].target)
+            end += 1
+        chunk = indexed[start:end]
+        kern = engine._flat_kernel() if len(targets) > 1 else None
+        if kern is not None:
+            kern.prefetch(_kernel_targets(engine, chunk))
+        pairs.extend((position, engine.query(query)) for position, query in chunk)
+        start = end
+    return pairs
+
+
+def _kernel_targets(
+    engine: FlowAwareEngine, indexed: list[tuple[int, FSPQuery]]
+) -> list[int]:
+    """Targets whose query ``engine.query`` accepts and hands the kernel.
+
+    A query it rejects is left to raise there, exactly as on its own; a
+    ``source == target`` query never reads a table.
+    """
+    frn = engine.frn
+    targets = []
+    for _, query in indexed:
+        try:
+            query.validated(frn.num_vertices, frn.num_timesteps)
+        except (QueryError, TypeError):
+            continue
+        if query.source != query.target:
+            targets.append(query.target)
+    return targets
 
 
 # ----------------------------------------------------------------------

@@ -3,12 +3,13 @@
 An FSPQ query's time goes to candidate collection (Yen spur searches) and
 to the A* heuristic table.  On the serving benchmark's ``citywide_closed``
 workload (``servebench/``, traced, seed 0, 2 CPUs) the flat kernel's own
-work takes about 76% of request time and the heuristic table
-(``labeling.hierarchy``) about 18%; the kernel runs about 18 A* searches
-per query, where it ran 86 before spur certificates.  Each reference
-spur search spends most of its time in per-vertex Python work: heuristic
-calls into the oracle, dict-based distance maps, and banned-edge set
-construction that rescans every accepted path.  :class:`FlatQueryKernel`
+work takes about 84% of request time and the heuristic tables, swept 32
+targets at a time by the batch path, about 8% (traced as ``core.batch``
+self time); the kernel runs about 18 A* searches per query, where it ran
+86 before spur certificates.  Each reference spur search spends most of
+its time in per-vertex Python work: heuristic calls into the oracle,
+dict-based distance maps, and banned-edge set construction that rescans
+every accepted path.  :class:`FlatQueryKernel`
 is a *path source* that keeps the exact algorithm — its stream is
 **bit-identical** to :func:`repro.paths.yen.iter_shortest_paths` driven by an
 :class:`~repro.paths.astar_search.OracleHeuristic` — but restructures the
@@ -20,8 +21,12 @@ state so the per-vertex work collapses:
   :class:`~repro.labeling.hierarchy.HierarchyIndex`, the boundary-table
   column combine for the sharded gateway's cross-shard oracle — instead
   of one scalar oracle call per visited vertex, cached per target (at
-  most :data:`_H_CACHE` tables, dropped together when full: batches are
-  target-grouped, so only the latest tables are ever reused);
+  most :data:`_H_CACHE` tables, dropped together when full).  A batch
+  first hands over the targets of each slice (:meth:`prefetch`); a
+  hierarchy index sweeps all their tables in one multi-target pass, and
+  each row waits as a float64 array until its target's first query
+  takes it.  Batches are target-grouped, so a table is read only while
+  its group runs and a deeper cache would buy no reuse;
 * A* runs on a prebuilt adjacency list (``neighbor_items`` order preserved,
   undirected edge ids precomputed) with stamped distance/parent arrays —
   no dict lookups, no per-search allocation;
@@ -172,6 +177,8 @@ class FlatQueryKernel:
         self._token = 0
         # target -> [h list, h float64 array, spur tree (built lazily)]
         self._h_cache: dict[int, list] = {}
+        # target -> float64 row of a prefetched block, until h_to takes it
+        self._pending: dict[int, np.ndarray] = {}
         self._patched: set[tuple[int, int]] = set()
         # edges whose weight breaks exact path sums; spur certificates are
         # sound only while this is empty
@@ -238,6 +245,7 @@ class FlatQueryKernel:
                 self._inexact.add((lo, hi))
             self._csr = None
         self._h_cache.clear()
+        self._pending.clear()
         self.overlay_version = overlay.version
         self.graph_version = graph.mutation_version
 
@@ -264,10 +272,42 @@ class FlatQueryKernel:
             if self.overlay is not None and not self.overlay.is_empty:
                 table = self.overlay.table_to(target)
             else:
-                table = self.index.distances_to(target)
+                row = self._pending.pop(target, None)
+                if row is None:
+                    table = self.index.distances_to(target)
+                else:
+                    # a copy: a cached view would pin the whole block
+                    table = row.copy()
             entry = self._h_cache[target] = [table.tolist(), table, None]
             self.stats["heuristic_builds"] += 1
         return entry[0]
+
+    def prefetch(self, targets) -> None:
+        """Sweep the tables of several targets at once, for :meth:`h_to`.
+
+        Targets neither cached nor pending are swept in one
+        ``index.distances_to_many`` pass, and the block's rows wait in a
+        pending map until :meth:`h_to` takes each (one ``tolist``).
+        Pending rows of targets outside ``targets`` are dropped, so the
+        map never holds more than one call's targets.  A no-op when the
+        overlay is
+        non-empty (:meth:`h_to` reads ``table_to`` then), when the
+        oracle has no ``distances_to_many``, or when fewer than two
+        targets are missing.  Every target must be a valid vertex id.
+        """
+        if self.overlay is not None and not self.overlay.is_empty:
+            return
+        sweep = getattr(self.index, "distances_to_many", None)
+        if sweep is None:
+            return
+        wanted = dict.fromkeys(targets)
+        pending = {t: self._pending[t] for t in wanted if t in self._pending}
+        missing = [
+            t for t in wanted if t not in self._h_cache and t not in pending
+        ]
+        self._pending = pending
+        if len(missing) > 1:
+            pending.update(zip(missing, sweep(missing)))
 
     def distance(self, u: int, v: int) -> float:
         """Exact ``SPDis(u, v)``, served from a cached table when one exists."""

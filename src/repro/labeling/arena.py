@@ -24,10 +24,12 @@ graph, so for every ``x`` that is not an ancestor of ``t``
 
 where every ``y`` is a shallower ancestor of ``x``, and for an ancestor
 ``a`` of ``t`` the value is ``L_t[depth(a)]`` directly.
-:meth:`LabelArena.distances_to` evaluates this top-down, one tree level per
-numpy reduction, over a per-level :class:`SweepPlan` built lazily on the
-first call: O(sum of bag sizes) reads instead of one LCA position row per
-vertex.
+:meth:`LabelArena.distances_to_many` evaluates this top-down for ``k``
+targets at once, one tree level per numpy reduction over an ``(n, k)``
+buffer, on a per-level :class:`SweepPlan` built lazily on the first call:
+O(k · sum of bag sizes) reads instead of one LCA position row per vertex
+and target.  Most of a level's cost is the fixed overhead of its numpy
+calls, which the ``k`` targets share.
 
 The arena is a *snapshot*: it records the index's label version at build
 time, and :meth:`HierarchyIndex.arena` rebuilds it whenever maintenance
@@ -283,51 +285,94 @@ class LabelArena:
         """The packed distance label of ``v`` (a view, no copy)."""
         return self.label_values[self.label_offsets[v]:self.label_offsets[v + 1]]
 
-    def distances_to(
-        self, target: int, index: "HierarchyIndex"
+    def distances_to_many(
+        self, targets: np.ndarray, index: "HierarchyIndex"
     ) -> tuple[np.ndarray, int]:
-        """``dis(v, target)`` for every ``v`` by the top-down bag sweep.
+        """``dis(v, t)`` for every ``v`` and each ``t`` in ``targets``.
 
-        Only for :attr:`quantized` arenas.  ``index`` is the index this
-        arena snapshots; the first call packs its tree depths and bags into
-        the :class:`SweepPlan`.  The ancestors ``a`` of ``target`` are
-        seeded with ``L_t[depth(a)]``; then each level ``d = 1..height``
-        takes ``min over y in bag(x) of L_x[depth(y)] + D[y]`` for all its
-        vertices at once, and the target's ancestor at depth ``d`` is
-        restored right after.  A level whose one vertex is that ancestor
-        is skipped.  Every value is an integer below ``2**42``, so each
-        sum and minimum is exact and the table is bit-identical to
-        ``[index.distance(v, target) for v]``.
+        Only for :attr:`quantized` arenas; ``targets`` is a 1-D int64 array
+        of valid vertex ids (duplicates allowed).  ``index`` is the index
+        this arena snapshots; the first call packs its tree depths and bags
+        into the :class:`SweepPlan`.  Returns a ``(k, n)`` float64 block
+        whose row ``j`` is the table of ``targets[j]``, bit-identical to
+        ``[index.distance(v, targets[j]) for v]``, and the label entries
+        read: ``k`` times the padded plan cells of the levels visited plus
+        every target's label.
 
-        Returns the float64 table and the label entries read: the padded
-        plan cells of the levels visited plus ``target``'s label.
+        One top-down pass serves all ``k`` targets, one column each of an
+        ``(n, k)`` int64 buffer (a 1-D buffer when ``k == 1``).  Each level
+        ``d = 1..height`` takes ``min over y in bag(x) of L_x[depth(y)] +
+        D[y]`` for all its vertices and all columns at once; the take, the
+        add and the reduction never mix columns.  The recurrence holds for
+        every ``x`` that is not an ancestor of the column's target ``t``,
+        since then ``bag(x)`` separates ``subtree(x)``, which holds no
+        ``t``, from ``t``, and every ``y`` is shallower, so ``D[y]`` is
+        final.  Right after the level, each target at least ``d`` deep has
+        its depth-``d`` ancestor ``a`` restored to ``L_t[d] = dis(a, t)``
+        in its own column, before any deeper level reads it; a target
+        shallower than ``d`` has no ancestor on the level.  Targets are
+        sorted deepest first, so the ones still deep enough are a prefix
+        of the columns and the restore is one assignment.  A level whose
+        one vertex is an ancestor of every target is not reduced at all.
+        Every value is an integer below ``2**42``, so each sum and minimum
+        is exact.
         """
         plan = self._plan
         if plan is None:
             if index.label_version != self.version:
                 raise IndexStateError("sweep plan needs the arena's own index")
             plan = self._plan = SweepPlan(self, index)
-        lt = self.label_values_q[
-            self.label_offsets[target]:self.label_offsets[target + 1]
-        ]
-        anc = plan.rank[
-            self.anc_values[self.anc_offsets[target]:self.anc_offsets[target + 1]]
-        ]
-        dt = len(lt) - 1
-        dist = np.empty(self.num_vertices, dtype=np.int64)
-        dist[anc] = lt
-        read = len(lt)
+        n, k = self.num_vertices, len(targets)
+        one = k == 1
+        if one:
+            t = int(targets[0])
+            lt = self.label_values_q[
+                self.label_offsets[t]:self.label_offsets[t + 1]
+            ].tolist()
+            slots = plan.rank[
+                self.anc_values[self.anc_offsets[t]:self.anc_offsets[t + 1]]
+            ].tolist()
+            shallowest = deepest = len(lt) - 1
+            read = len(lt)
+            dist = flat = np.empty(n, dtype=np.int64)
+        else:
+            # a label holds one entry per ancestor, so its length is depth + 1
+            starts = self.label_offsets[targets]
+            depth = self.label_offsets[targets + 1] - starts - 1
+            order = np.argsort(-depth, kind="stable")
+            depth = depth[order]
+            shallowest, deepest = int(depth[-1]), int(depth[0])
+            # (deepest + 1, k): row d holds each target's depth-d ancestor
+            # slot (flat in the buffer) and label entry, padded past the
+            # target's own depth; alive[d] targets are at least d deep
+            levels = np.arange(deepest + 1)
+            pick = np.minimum(levels[:, None], depth)
+            lt = self.label_values_q[starts[order] + pick]
+            slots = plan.rank[self.anc_values[self.anc_offsets[targets[order]] + pick]]
+            slots = slots * k + np.arange(k)
+            alive = np.searchsorted(-depth, -levels, side="right").tolist()
+            slots = [slots[d, :c] for d, c in enumerate(alive)]
+            lt = [lt[d, :c] for d, c in enumerate(alive)]
+            read = int(depth.sum()) + k
+            dist = np.empty((n, k), dtype=np.int64)
+            flat = dist.reshape(-1)
+        flat[slots[0]] = lt[0]  # the root, an ancestor of every target
+        cells = 0
         reduce_min = np.minimum.reduce
         for d, (lo, hi, bag, lab) in enumerate(plan.levels, start=1):
-            if d <= dt and hi - lo == 1:
-                continue
-            cand = dist.take(bag)
-            cand += lab
-            reduce_min(cand, axis=0, out=dist[lo:hi])
-            if d <= dt:
-                dist[anc[d]] = lt[d]
-            read += lab.size
-        return dist.take(plan.rank).astype(np.float64), read
+            if d > shallowest or hi - lo > 1:
+                cand = dist.take(bag, axis=0)
+                cand += lab if one else lab[:, :, None]
+                reduce_min(cand, axis=0, out=dist[lo:hi])
+                cells += lab.size
+            if d <= deepest:
+                flat[slots[d]] = lt[d]
+        read += k * cells
+        if one:
+            return dist.take(plan.rank).astype(np.float64)[None, :], read
+        block = np.empty((k, n), dtype=np.float64)
+        block[order] = dist.take(plan.rank, axis=0).T
+        return block, read
 
     def pair_distances(
         self,

@@ -328,45 +328,72 @@ class HierarchyIndex:
         """Exact distances from *every* vertex to ``target``.
 
         The one-to-all primitive the flat query kernel uses to build
-        admissible A* heuristic tables.  On a :attr:`LabelArena.quantized`
-        arena it is the top-down bag sweep of
-        :meth:`LabelArena.distances_to`: ``bag(x)`` separates
-        ``subtree(x)`` from the rest of the graph, so ``dis(x, t)`` is the
-        minimum over ``y in bag(x)`` of ``L_x[depth(y)] + dis(y, t)``,
-        one tree level per numpy reduction, O(sum of bag sizes) reads.
-        Non-integral labels take one batched LCA lookup plus
-        :meth:`LabelArena.pair_distances` over ``arange(n)``.  Either way
-        the result is bit-identical to ``[distance(u, target) for u in
-        range(n)]``: the sweep's sums and minima are exact integers, and
-        the gather is exactly :meth:`distance_many`.
+        admissible A* heuristic tables: the one-target case of
+        :meth:`distances_to_many`, so entry ``u`` is bit-identical to
+        ``distance(u, target)``.
         """
-        n = self.graph.num_vertices
-        if not 0 <= target < n:
+        if not 0 <= target < self.graph.num_vertices:
             raise QueryError(f"distances_to query on unknown vertex {target}")
+        return self._tables(np.array([target], dtype=np.int64))[0]
+
+    def distances_to_many(self, targets) -> np.ndarray:
+        """The ``distances_to`` tables of several targets, as one block.
+
+        Returns a ``(k, n)`` float64 array whose row ``j`` is bit-identical
+        to ``[distance(u, targets[j]) for u in range(n)]``.  On a
+        :attr:`LabelArena.quantized` arena every row comes from one
+        top-down bag sweep of :meth:`LabelArena.distances_to_many`:
+        ``bag(x)`` separates ``subtree(x)`` from the rest of the graph, so
+        ``dis(x, t)`` is the minimum over ``y in bag(x)`` of
+        ``L_x[depth(y)] + dis(y, t)``, one tree level per numpy reduction
+        shared by all ``k`` targets, O(k · sum of bag sizes) reads, each
+        target's ancestors restored from its own label.  Non-integral
+        labels take one batched LCA lookup plus
+        :meth:`LabelArena.pair_distances` over ``arange(n)`` per target.
+        Either way the sweep's sums and minima are exact integers and the
+        gather is exactly :meth:`distance_many`.
+        """
+        ts = np.asarray(targets)
+        n = self.graph.num_vertices
+        if ts.ndim != 1 or (ts.size and ts.dtype.kind not in "iu"):
+            raise QueryError("distances_to_many needs a 1-D array of vertex ids")
+        ts = ts.astype(np.int64, copy=False)
+        bad = ts[(ts < 0) | (ts >= n)]
+        if bad.size:
+            raise QueryError(f"distances_to query on unknown vertex {bad[0]}")
+        return self._tables(ts)
+
+    def _tables(self, ts: np.ndarray) -> np.ndarray:
+        """:meth:`distances_to_many` on validated int64 targets."""
+        n, k = self.graph.num_vertices, len(ts)
+        if not k:
+            return np.empty((0, n), dtype=np.float64)
         arena = self.arena()
         if arena.quantized:
-            table, read = arena.distances_to(target, self)
+            block, read = arena.distances_to_many(ts, self)
         else:
             us = np.arange(n, dtype=np.int64)
-            vs = np.full(n, target, dtype=np.int64)
-            table = arena.pair_distances(us, vs, self.lca.query_many(us, vs))
+            block = np.empty((k, n), dtype=np.float64)
+            for j, t in enumerate(ts):
+                vs = np.full(n, t, dtype=np.int64)
+                block[j] = arena.pair_distances(us, vs, self.lca.query_many(us, vs))
             width = (
                 arena.pos_pad.shape[1]
                 if arena.pos_pad is not None
                 else len(arena.pos_values)
             )
-            read = 2 * n * int(width)
+            read = 2 * k * n * int(width)
         registry = obs.get_registry()
         if registry.enabled:
             registry.counter(
                 "repro_label_pairs_batched_total",
                 "vertex pairs answered by the vectorised arena kernel",
-            ).inc(n)
+            ).inc(k * n)
             registry.counter(
                 "repro_label_gather_entries_total",
                 "label entries read by one-to-all distance sweeps",
             ).inc(read)
-        return table
+        return block
 
     def path(self, u: int, v: int) -> list[int]:
         """A concrete shortest path ``u .. v`` (unpacking label shortcuts)."""

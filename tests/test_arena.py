@@ -230,6 +230,39 @@ class TestSweep:
             reads += len(level) * max(len(index.bag_keys[v]) for v in level)
         return reads
 
+    @staticmethod
+    def expected_block_reads(index, targets):
+        """k times the padded plan cells of the levels visited, plus L_t."""
+        depth = index.tree.depth
+        shallowest = min(int(depth[t]) for t in targets)
+        reads = sum(int(depth[t]) + 1 for t in targets)
+        for d in range(1, int(depth.max()) + 1):
+            level = np.flatnonzero(depth == d)
+            if d <= shallowest and len(level) == 1:
+                continue  # an ancestor of every target: skipped
+            cells = len(level) * max(len(index.bag_keys[v]) for v in level)
+            reads += len(targets) * cells
+        return reads
+
+    def test_gather_counter_counts_multi_target_sweeps(self, small_grid):
+        index = build_h2h(small_grid)
+        n = small_grid.num_vertices
+        registry = obs.MetricsRegistry(enabled=True)
+        previous = obs.set_registry(registry)
+        try:
+            gathered = registry.counter("repro_label_gather_entries_total")
+            pairs = registry.counter("repro_label_pairs_batched_total")
+            root = index.tree.root
+            for targets in ([0], [3, 3, 17], [root, 5, 35, 12], list(range(n))):
+                before = gathered.total(), pairs.total()
+                index.distances_to_many(targets)
+                assert gathered.total() - before[0] == self.expected_block_reads(
+                    index, targets
+                )
+                assert pairs.total() - before[1] == len(targets) * n
+        finally:
+            obs.set_registry(previous)
+
     def test_gather_counter_counts_sweep_reads(self, small_grid):
         index = build_h2h(small_grid)
         registry = obs.MetricsRegistry(enabled=True)

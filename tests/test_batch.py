@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import repro.core.batch as batch_module
@@ -10,7 +11,12 @@ from repro.core.fahl import build_fahl
 from repro.core.fpsps import FlowAwareEngine
 from repro.core.fspq import FSPQuery
 from repro.errors import QueryError
+from repro.flow.series import FlowSeries
+from repro.flow.synthetic import generate_flow_series
+from repro.graph.frn import FlowAwareRoadNetwork
+from repro.graph.road_network import RoadNetwork
 from repro.labeling.hierarchy import HierarchyIndex
+from repro.serving import ResilientEngine, WeightUpdate
 
 
 def make_queries(frn, rng, count, num_targets=None):
@@ -157,3 +163,147 @@ class TestParallelBatchQuery:
         serial = batch_query(engine, queries)
         parallel = batch_query(engine, queries, workers=2)
         assert parallel == serial
+
+
+@pytest.fixture()
+def medium_frn(medium_grid):
+    return FlowAwareRoadNetwork(
+        medium_grid, generate_flow_series(medium_grid, days=1, seed=5)
+    )
+
+
+@pytest.fixture()
+def sweep_log(tmp_path, monkeypatch):
+    """Records every heuristic-table build, also in forked pool workers.
+
+    Each ``distances_to_many`` call appends its target count and each
+    single ``distances_to`` call appends ``single``, one line per call, to
+    a file the parent reads back.
+    """
+    log = tmp_path / "sweeps.log"
+    log.touch()
+    many = HierarchyIndex.distances_to_many
+    single = HierarchyIndex.distances_to
+
+    def counted_many(self, targets):
+        with open(log, "a") as fh:
+            fh.write(f"{len(targets)}\n")
+        return many(self, targets)
+
+    def counted_single(self, target):
+        with open(log, "a") as fh:
+            fh.write("single\n")
+        return single(self, target)
+
+    monkeypatch.setattr(HierarchyIndex, "distances_to_many", counted_many)
+    monkeypatch.setattr(HierarchyIndex, "distances_to", counted_single)
+    return lambda: log.read_text().split()
+
+
+def distinct_target_queries(frn, rng, count):
+    n = frn.num_vertices
+    targets = rng.choice(n, size=count, replace=False)
+    queries = []
+    for t in targets:
+        s = int(rng.integers(0, n - 1))
+        queries.append(FSPQuery(s + (s >= t), int(t), int(rng.integers(24))))
+    return queries
+
+
+class TestMultiTargetSweep:
+    """A batch slice of up to 32 distinct targets shares one bag sweep."""
+
+    def test_serial_batch_sweeps_once_per_slice(self, medium_frn, rng, sweep_log):
+        queries = distinct_target_queries(medium_frn, rng, 40)
+        engine = FlowAwareEngine(medium_frn, oracle=build_fahl(medium_frn),
+                                 max_candidates=8)
+        loop = [engine.query(q) for q in queries]
+        engine.invalidate()
+        start = len(sweep_log())
+        results = batch_query(engine, queries)
+        assert results == loop  # frozen dataclasses: exact equality
+        built = sweep_log()[start:]
+        assert built == ["32", "8"]  # ceil(40 / 32) sweeps, no single tables
+        kern = engine._flat_kernel()
+        assert kern.stats["heuristic_builds"] == 40
+        assert not kern._pending
+
+    def test_pool_batch_sweeps_every_table(self, medium_frn, rng, sweep_log):
+        queries = distinct_target_queries(medium_frn, rng, 40)
+        engine = FlowAwareEngine(medium_frn, oracle=build_fahl(medium_frn),
+                                 max_candidates=8)
+        loop = [engine.query(q) for q in queries]
+        engine.invalidate()
+        start = len(sweep_log())
+        assert batch_query(engine, queries, workers=2) == loop
+        built = sweep_log()[start:]
+        # each pool chunk sweeps its own targets; none is built alone
+        assert "single" not in built
+        assert sum(map(int, built)) == 40
+
+    def test_non_empty_overlay_sweeps_nothing(self, medium_frn, rng, sweep_log):
+        serving = ResilientEngine(medium_frn, overlay_capacity=64)
+        u, v, w = next(iter(medium_frn.graph.edges()))
+        assert serving.submit(WeightUpdate(u, v, w * 3, timestamp=1.0)).applied
+        queries = distinct_target_queries(medium_frn, rng, 40)
+        start = len(sweep_log())
+        flat = serving.batch(queries)
+        assert sweep_log()[start:] == []
+        assert flat == serving.batch(queries, kernel="scalar")
+
+    def test_bad_requests_raise_what_they_raise_alone(self, medium_frn, rng):
+        engine = FlowAwareEngine(medium_frn, oracle=build_fahl(medium_frn),
+                                 max_candidates=8)
+        good = distinct_target_queries(medium_frn, rng, 12)
+        n = medium_frn.num_vertices
+        for bad in (
+            FSPQuery(0, n + 7, 0),
+            FSPQuery(-1, 3, 0),
+            FSPQuery(0, 3, medium_frn.num_timesteps),
+        ):
+            with pytest.raises(QueryError) as alone:
+                engine.query(bad)
+            with pytest.raises(QueryError) as batched:
+                batch_query(engine, good + [bad])
+            assert type(batched.value) is type(alone.value)
+            assert str(batched.value) == str(alone.value)
+
+    def test_disconnected_request_raises_what_it_raises_alone(self):
+        graph = RoadNetwork(4, edges=[(0, 1, 1.0), (2, 3, 1.0)])
+        frn = FlowAwareRoadNetwork(graph, FlowSeries(np.ones((1, 4))))
+        engine = FlowAwareEngine(frn)  # index-free: no connectivity demand
+        bad = FSPQuery(0, 3, 0)
+        with pytest.raises(QueryError) as alone:
+            engine.query(bad)
+        with pytest.raises(QueryError) as batched:
+            batch_query(engine, [FSPQuery(0, 1, 0), bad, FSPQuery(2, 3, 0)])
+        assert str(batched.value) == str(alone.value)
+
+    def test_slices_follow_distinct_targets(self, monkeypatch):
+        calls = []
+
+        class Kernel:
+            def prefetch(self, targets):
+                calls.append(sorted(set(targets)))
+
+        class Engine:
+            frn = FlowAwareRoadNetwork(
+                RoadNetwork(80, edges=[(i, i + 1, 1.0) for i in range(79)]),
+                FlowSeries(np.ones((1, 80))),
+            )
+
+            def _flat_kernel(self):
+                return Kernel()
+
+            def query(self, query):
+                return query.target
+
+        # 70 distinct targets, each asked twice, plus a self-query, which
+        # never reads a table
+        queries = [FSPQuery(0, t, 0) for t in range(1, 71) for _ in range(2)]
+        queries += [FSPQuery(75, 75, 0)]
+        indexed = sorted(enumerate(queries), key=lambda p: p[1].target)
+        pairs = batch_module._evaluate_chunk(Engine(), indexed)
+        assert [r for _, r in pairs] == [q.target for _, q in indexed]
+        assert calls == [list(range(1, 33)), list(range(33, 65)),
+                         list(range(65, 71))]
