@@ -122,8 +122,8 @@ def to_async(engine, **gateway_kwargs):
     unchanged (``gateway_kwargs`` must then be empty); a sync
     :class:`Engine` is wrapped in a
     :class:`~repro.serving.async_gateway.AsyncGateway`, forwarding
-    ``gateway_kwargs`` (``window_seconds``, ``max_window``, ``max_queue``,
-    ``admission_rate``, ...).  Anything else raises
+    ``gateway_kwargs`` (``max_window``, ``max_queue``, ``admission_rate``,
+    ...).  Anything else raises
     :class:`~repro.errors.QueryError`.
     """
     from repro.serving.async_gateway import AsyncGateway

@@ -224,10 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_async.add_argument("--rate", type=float, default=4000.0,
                              help="open-loop arrival rate per second "
                                   "(default 4000)")
-    serve_async.add_argument("--window-ms", type=float, default=1.5,
-                             help="coalescing window in milliseconds "
-                                  "(default 1.5; 0 still coalesces one "
-                                  "event-loop tick)")
     serve_async.add_argument("--admission-rate", type=float, default=None,
                              help="per-client token-bucket rate "
                                   "(default: admission off)")
@@ -668,7 +664,6 @@ def _run_serve_async(args: argparse.Namespace) -> int:
             requests=args.requests,
             concurrency=args.concurrency,
             rate=args.rate,
-            window_seconds=args.window_ms / 1000.0,
             admission_rate=args.admission_rate,
             seed=args.seed,
         )

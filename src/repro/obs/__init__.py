@@ -41,7 +41,6 @@ Prometheus/JSONL exports) and ``fahl-repro obs lint`` (the CI gate).
 from __future__ import annotations
 
 import contextlib
-import warnings
 from contextvars import ContextVar
 from typing import Iterator
 
@@ -87,7 +86,6 @@ from repro.obs.trace import (
     FrontDoor,
     Span,
     Tracer,
-    _timed,
     front_door,
     get_tracer,
     set_tracer,
@@ -142,28 +140,6 @@ __all__ = [
     "use_context",
     "write_snapshot_jsonl",
 ]
-
-#: deprecated names (docs/API.md, "Deprecation policy"): they warn for
-#: one cycle, then go
-_DEPRECATED = {
-    "Stopwatch": (
-        Span,
-        "obs.Stopwatch is deprecated: obs.stopwatch() returns an obs.Span",
-    ),
-    "timed": (
-        _timed,
-        "obs.timed is deprecated: wrap the body in `with obs.stopwatch(...)`",
-    ),
-}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED:
-        value, message = _DEPRECATED[name]
-        warnings.warn(message, DeprecationWarning, stacklevel=2)
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 #: The process-default registry.  Starts *disabled*: every instrumented
 #: path checks ``get_registry().enabled`` (or receives a null instrument)

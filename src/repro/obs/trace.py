@@ -38,7 +38,6 @@ catalogued in ``docs/OBSERVABILITY.md``.
 from __future__ import annotations
 
 import contextvars
-import functools
 import itertools
 import json
 import os
@@ -381,19 +380,3 @@ def stopwatch(
     Without ``span`` the block is timed (and recorded) but never traced.
     """
     return Span(span, labels, metric, help, dict(labels))
-
-
-def _timed(
-    metric: str, span: str | None = None, **labels: object
-) -> Callable[[Callable], Callable]:
-    """Deprecated decorator form of :func:`stopwatch` (``obs.timed``)."""
-
-    def decorate(func: Callable) -> Callable:
-        @functools.wraps(func)
-        def wrapper(*args, **kwargs):
-            with stopwatch(metric, span or metric, **labels):
-                return func(*args, **kwargs)
-
-        return wrapper
-
-    return decorate

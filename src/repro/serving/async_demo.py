@@ -4,8 +4,8 @@ The two canonical load models for benchmarking a serving front door:
 
 * **closed loop** — ``concurrency`` virtual clients, each awaiting its
   answer before issuing the next request.  Throughput is limited by
-  latency (classic back-to-back benchmarking); with the coalescing
-  window on, concurrent clients land in shared windows.
+  latency (classic back-to-back benchmarking); clients waiting on one
+  window resubmit together and land in the next one.
 * **open loop** — requests arrive on a fixed schedule (``rate`` per
   second) regardless of completions, the arrival model real traffic
   follows.  Latency here includes queueing delay, so an under-provisioned
@@ -13,9 +13,8 @@ The two canonical load models for benchmarking a serving front door:
 
 Both drivers return a :class:`LoadResult` with wall-clock throughput and
 latency quantiles; :func:`run_async_demo` wires them to a demo grid
-engine for ``fahl-repro serve-async`` and CI, and
-``benchmarks/bench_async_gateway.py`` reuses them for the real
-window-on/window-off comparison.
+engine for ``fahl-repro serve-async`` and CI.  The gated end-to-end
+measurement of the async gateway is servebench (``servebench/run.py``).
 """
 
 from __future__ import annotations
@@ -182,7 +181,6 @@ def run_async_demo(
     requests: int = 400,
     concurrency: int = 64,
     rate: float = 4000.0,
-    window_seconds: float = 0.0015,
     admission_rate: float | None = None,
     seed: int = 0,
 ) -> dict:
@@ -200,9 +198,7 @@ def run_async_demo(
 
     async def drive() -> tuple[LoadResult, LoadResult, object]:
         async with AsyncGateway(
-            engine,
-            window_seconds=window_seconds,
-            admission_rate=admission_rate,
+            engine, admission_rate=admission_rate
         ) as gateway:
             closed = await closed_loop(gateway, workload, concurrency)
             opened = await open_loop(gateway, workload, rate)
@@ -213,7 +209,6 @@ def run_async_demo(
     return {
         "vertices": frn.num_vertices,
         "requests_per_loop": requests,
-        "window_seconds": window_seconds,
         "closed": closed.summary(),
         "open": opened.summary(),
         "windows": stats.windows,

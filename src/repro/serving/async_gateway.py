@@ -6,14 +6,17 @@ result cache the moment many clients arrive at once.  :class:`AsyncGateway`
 turns concurrent requests back into the batch shape the lower layers are
 fast at:
 
-* **coalescing window** — requests arriving within ``window_seconds``
-  (default 1.5 ms) of each other are collected into one window (capped at
-  ``max_window``) and dispatched as a *single* ``engine.batch`` call — the
-  sharded gateway then fans one group per shard, the batch path groups the
-  window's queries by target so they share the flat kernel's heuristic
-  tables, and every request in the window shares that work.  Distance
-  requests ride the same window and, for a bare
-  :class:`~repro.core.fpsps.FlowAwareEngine` over a
+* **natural batching** — there is no timer.  The gateway dispatches
+  whatever is pending as soon as its loop is free: a request submitted
+  to an idle gateway waits one event-loop tick (so simultaneous
+  submitters share a window), and requests that arrive while a window
+  is being evaluated form the next one.  Under load the windows fill by
+  themselves, capped at ``max_window``; each is a *single*
+  ``engine.batch`` call — the sharded gateway then fans one group per
+  shard, the batch path groups the window's queries by target so they
+  share the flat kernel's heuristic tables, and every request in the
+  window shares that work.  Distance requests ride the same window and,
+  for a bare :class:`~repro.core.fpsps.FlowAwareEngine` over a
   ``distance_many``-capable oracle, resolve through one vectorised call.
 * **admission** — per-client token buckets
   (:class:`~repro.serving.admission.ClientAdmission`) reject over-rate
@@ -23,13 +26,13 @@ fast at:
   queue rejects with :class:`~repro.errors.BackpressureError` instead of
   growing without bound or hanging the caller.
 * **observability** — per-window and per-request latency histograms
-  (``repro_async_window_seconds`` / ``repro_async_request_seconds``),
-  window-size and queue-depth gauges, and ``async.window`` /
-  ``async.request`` spans.  Each request's span is begun at submit time
-  under the submitter's :class:`~repro.obs.RequestContext` and ended when
-  its future resolves, so a trace stays one stitched tree across the
-  coalescing boundary; the request span also writes the request's one
-  SLO sample.
+  (``repro_async_window_seconds`` times a window's dispatch,
+  ``repro_async_request_seconds`` submit-to-resolve), window-size and
+  queue-depth gauges, and ``async.window`` / ``async.request`` spans.
+  Each request's span is begun at submit time under the submitter's
+  :class:`~repro.obs.RequestContext` and ended when its future resolves,
+  so a trace stays one stitched tree across the coalescing boundary; the
+  request span also writes the request's one SLO sample.
 
 Answers are whatever the wrapped engine's own ``query``/``distance``
 return — bare :class:`~repro.core.fspq.FSPResult`/``float`` or serving
@@ -58,6 +61,7 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import threading
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -116,11 +120,6 @@ class AsyncGateway:
     engine:
         Any object satisfying the :class:`repro.api.Engine` protocol
         (``FlowAwareEngine``, ``ResilientEngine``, ``ShardedGateway``).
-    window_seconds:
-        Length of the coalescing window.  ``0`` still coalesces whatever
-        is simultaneously pending (one event-loop tick) without adding
-        latency; the default 1.5 ms trades worst-case added latency for
-        much larger windows under load.
     max_window:
         Requests dispatched per window at most; the rest stay queued for
         the next window (they are *not* rejected).
@@ -136,13 +135,14 @@ class AsyncGateway:
     kernel, batch_timeout:
         Forwarded to ``engine.batch`` (kernel selection and per-chunk
         timeout passthrough of the unified batch signature).
+    window_seconds:
+        Deprecated and ignored: there is no coalescing timer.
     """
 
     def __init__(
         self,
         engine,
         *,
-        window_seconds: float = 0.0015,
         max_window: int = 256,
         max_queue: int = 1024,
         admission_rate: float | None = None,
@@ -150,10 +150,15 @@ class AsyncGateway:
         workers: int = 1,
         kernel: str | None = None,
         batch_timeout: float | None = None,
+        window_seconds: float | None = None,
     ) -> None:
-        if window_seconds < 0:
-            raise QueryError(
-                f"window_seconds must be >= 0, got {window_seconds}"
+        if window_seconds is not None:
+            warnings.warn(
+                "AsyncGateway(window_seconds=...) is deprecated and ignored: "
+                "the gateway dispatches whatever is pending as soon as its "
+                "loop is free",
+                DeprecationWarning,
+                stacklevel=2,
             )
         if max_window < 1:
             raise QueryError(f"max_window must be >= 1, got {max_window}")
@@ -162,7 +167,6 @@ class AsyncGateway:
         if workers < 1:
             raise QueryError(f"workers must be >= 1, got {workers}")
         self.engine = engine
-        self.window_seconds = float(window_seconds)
         self.max_window = int(max_window)
         self.max_queue = int(max_queue)
         self.workers = int(workers)
@@ -178,7 +182,7 @@ class AsyncGateway:
         self._pending: list[_Pending] = []
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
-        self._flush_task: asyncio.Task | None = None
+        self._dispatcher: asyncio.Task | None = None
         self._window_id = 0
         self._closed = False
 
@@ -282,18 +286,11 @@ class AsyncGateway:
         await self.aclose()
 
     async def _drain(self) -> None:
-        while self._pending or (
-            self._flush_task is not None and not self._flush_task.done()
-        ):
-            if self._flush_task is not None:
-                task = self._flush_task
-                try:
-                    await task
-                except asyncio.CancelledError:  # pragma: no cover - teardown
-                    break
-            elif self._pending:
-                self._dispatch_window()
-            await asyncio.sleep(0)
+        # the dispatcher runs until the queue is empty, and a closed
+        # gateway admits nothing that could start another
+        task = self._dispatcher
+        if task is not None and not task.done():
+            await task
 
     def _reject_all_pending(self) -> None:
         for item in self._pending:
@@ -363,10 +360,10 @@ class AsyncGateway:
             kind=kind,
         )
         self._sync_gauges()
-        if self._flush_task is None or self._flush_task.done():
+        if self._dispatcher is None or self._dispatcher.done():
             loop = self._loop
             assert loop is not None
-            self._flush_task = loop.create_task(self._run_window())
+            self._dispatcher = loop.create_task(self._dispatch_pending())
 
     async def _submit_async(self, kind: str, payload: object, client: str):
         loop = self._bind_running_loop()
@@ -438,22 +435,17 @@ class AsyncGateway:
     # ------------------------------------------------------------------
     # the dispatcher
     # ------------------------------------------------------------------
-    async def _run_window(self) -> None:
-        """One coalescing window: sleep it open, then dispatch the batch."""
-        if self.window_seconds > 0:
-            await asyncio.sleep(self.window_seconds)
-        else:
-            # one explicit tick, so simultaneous submitters still coalesce
+    async def _dispatch_pending(self) -> None:
+        """Dispatch windows until the queue is empty, one tick apart.
+
+        The tick lets simultaneous submitters join the window; whatever
+        arrives while a window is evaluated forms the next one.
+        """
+        while self._pending:
             await asyncio.sleep(0)
-        self._dispatch_window()
-        if self._pending:
-            loop = self._loop
-            assert loop is not None
-            self._flush_task = loop.create_task(self._run_window())
+            self._dispatch_window()
 
     def _dispatch_window(self) -> None:
-        if not self._pending:
-            return
         window = self._pending[: self.max_window]
         del self._pending[: len(window)]
         self._window_id += 1

@@ -175,15 +175,19 @@ class TestAsyncEngineProtocol:
 
     def test_to_async_adapts_every_tier(self, engines):
         for name, engine in engines.items():
-            adapted = to_async(engine, window_seconds=0.0)
+            adapted = to_async(engine)
             assert isinstance(adapted, AsyncEngine), name
             assert adapted.engine is engine
+
+    def test_to_async_window_seconds_is_deprecated(self, engines):
+        with pytest.warns(DeprecationWarning, match="window_seconds"):
+            to_async(engines["flow"], window_seconds=0.002)
 
     def test_to_async_passes_through_async_engines(self, engines):
         gateway = to_async(engines["flow"])
         assert to_async(gateway) is gateway
         with pytest.raises(QueryError):
-            to_async(gateway, window_seconds=0.5)  # options need a wrap
+            to_async(gateway, max_window=8)  # options need a wrap
 
     def test_to_async_rejects_non_engines(self, frn):
         with pytest.raises(QueryError):
@@ -193,7 +197,7 @@ class TestAsyncEngineProtocol:
         query = FSPQuery(0, 35, 1)
 
         async def round_trip(engine):
-            async with to_async(engine, window_seconds=0.0) as gateway:
+            async with to_async(engine) as gateway:
                 return await gateway.aquery(query), await gateway.adistance(0, 35)
 
         for name, engine in engines.items():

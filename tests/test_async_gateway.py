@@ -5,11 +5,17 @@ The micro-batching front door must be invisible in the answers: whatever
 for bit (property-tested across kernels, with maintenance interleaved
 mid-window), and the failure modes are typed — ``AdmissionError`` for
 over-rate clients, ``BackpressureError`` for a full queue — never hangs.
+
+The gateway has no timer, so the tests hold a window open the way load
+does: requests enqueued within one loop tick (tasks created without
+yielding) share a window, and requests that arrive while a window is
+evaluated form the next one.
 """
 
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import pytest
 from hypothesis import given
@@ -84,9 +90,7 @@ class TestCoalescedBitIdentity:
             expected = [flow_engine.query(q) for q in queries]
 
         async def run():
-            async with AsyncGateway(
-                flow_engine, window_seconds=0.0, kernel=kernel
-            ) as gateway:
+            async with AsyncGateway(flow_engine, kernel=kernel) as gateway:
                 tasks = [
                     asyncio.ensure_future(gateway.aquery(q)) for q in queries
                 ]
@@ -101,14 +105,16 @@ class TestCoalescedBitIdentity:
         from the post-update index, same as per-request calls would."""
         serving = ResilientEngine(frn, max_retries=0)
         queries = [FSPQuery(0, i, 0) for i in range(1, 9)]
+        gateway = AsyncGateway(serving)
 
         async def run():
-            async with AsyncGateway(serving, window_seconds=0.01) as gateway:
+            async with gateway:
                 first = [
                     asyncio.ensure_future(gateway.aquery(q))
                     for q in queries[:4]
                 ]
-                await asyncio.sleep(0)  # enqueued into the open window
+                # one tick: the first four enqueue, the window is still open
+                await asyncio.sleep(0)
                 outcome = serving.submit(FlowUpdate(0, 55.0))
                 assert outcome.applied
                 second = [
@@ -118,6 +124,7 @@ class TestCoalescedBitIdentity:
                 return await asyncio.gather(*first, *second)
 
         got = asyncio.run(run())
+        assert gateway.stats.windows == 1  # the update landed mid-window
         expected = [serving.query(q) for q in queries]
         assert [as_result(g) for g in got] == [as_result(e) for e in expected]
 
@@ -125,7 +132,7 @@ class TestCoalescedBitIdentity:
         pairs = [(0, i) for i in range(frn.num_vertices)]
 
         async def run():
-            async with AsyncGateway(flow_engine, window_seconds=0.0) as gw:
+            async with AsyncGateway(flow_engine) as gw:
                 return await asyncio.gather(
                     *(gw.adistance(u, v) for u, v in pairs)
                 )
@@ -140,7 +147,7 @@ class TestCoalescedBitIdentity:
         query = FSPQuery(0, frn.num_vertices - 1, 0)
 
         async def run():
-            async with AsyncGateway(gateway, window_seconds=0.0) as agw:
+            async with AsyncGateway(gateway) as agw:
                 return await agw.aquery(query), await agw.adistance(0, 5)
 
         result, distance = asyncio.run(run())
@@ -152,7 +159,7 @@ class TestCoalescedBitIdentity:
         queries = [FSPQuery(i, frn.num_vertices - 1 - i, 0) for i in range(6)]
 
         async def run():
-            async with AsyncGateway(flow_engine, window_seconds=0.0) as gw:
+            async with AsyncGateway(flow_engine) as gw:
                 return await gw.abatch(queries)
 
         got = asyncio.run(run())
@@ -163,7 +170,7 @@ class TestCoalescedBitIdentity:
         bad = FSPQuery(0, 5, 10_000)  # timestep out of range
 
         async def run():
-            async with AsyncGateway(flow_engine, window_seconds=0.0) as gw:
+            async with AsyncGateway(flow_engine) as gw:
                 tasks = [
                     asyncio.ensure_future(gw.aquery(good)),
                     asyncio.ensure_future(gw.aquery(bad)),
@@ -189,12 +196,13 @@ class TestCoalescing:
                     *(gateway.aquery(q) for q in queries)
                 )
 
-        gateway = AsyncGateway(flow_engine, window_seconds=0.002)
+        # gather starts every request in one tick: they share one window
+        gateway = AsyncGateway(flow_engine)
         asyncio.run(run(gateway))
         assert gateway.stats.requests == len(queries)
-        assert gateway.stats.windows < len(queries)
-        assert gateway.stats.coalescing_ratio() > 1.0
-        assert gateway.stats.largest_window > 1
+        assert gateway.stats.windows == 1
+        assert gateway.stats.coalescing_ratio() == len(queries)
+        assert gateway.stats.largest_window == len(queries)
 
     def test_max_window_splits_but_never_drops(self, flow_engine, frn):
         queries = [FSPQuery(0, i % frn.num_vertices, 0) for i in range(10)]
@@ -205,11 +213,49 @@ class TestCoalescing:
                     *(gateway.aquery(q) for q in queries)
                 )
 
-        gateway = AsyncGateway(flow_engine, window_seconds=0.0, max_window=3)
+        gateway = AsyncGateway(flow_engine, max_window=3)
         got = asyncio.run(run(gateway))
         assert got == [flow_engine.query(q) for q in queries]
         assert gateway.stats.largest_window <= 3
         assert gateway.stats.windows >= 4
+
+    def test_requests_arriving_during_a_dispatch_form_the_next_window(
+        self, flow_engine
+    ):
+        """Natural batching under load: while one window is evaluated,
+        requests submitted from another thread queue up, and the next
+        window takes all of them at once."""
+
+        class SlowBatch:
+            """Records each window; the first blocks until released."""
+
+            def __init__(self, engine):
+                self.engine = engine
+                self.windows = []
+                self.dispatching = threading.Event()
+                self.release = threading.Event()
+
+            def batch(self, queries, **kwargs):
+                self.windows.append(list(queries))
+                self.dispatching.set()
+                self.release.wait(10.0)
+                return self.engine.batch(queries, **kwargs)
+
+        slow = SlowBatch(flow_engine)
+        queries = [FSPQuery(0, v, 0) for v in range(1, 9)]
+        gateway = AsyncGateway(slow).start()
+        try:
+            first = gateway.submit(FSPQuery(0, 9, 0))
+            assert slow.dispatching.wait(10.0)
+            futures = [gateway.submit(q) for q in queries]
+            slow.release.set()
+            answers = [future.result(timeout=10.0) for future in futures]
+            first.result(timeout=10.0)
+        finally:
+            slow.release.set()
+            gateway.close()
+        assert slow.windows == [[FSPQuery(0, 9, 0)], queries]
+        assert answers == [flow_engine.query(q) for q in queries]
 
 
 # ----------------------------------------------------------------------
@@ -220,18 +266,18 @@ class TestRejections:
         query = FSPQuery(0, 5, 0)
 
         async def run():
-            async with AsyncGateway(
-                flow_engine, window_seconds=0.05, max_queue=2
-            ) as gateway:
-                tasks = []
-                for _ in range(2):
-                    tasks.append(asyncio.ensure_future(gateway.aquery(query)))
-                    await asyncio.sleep(0)  # occupy the two queue slots
-                with pytest.raises(BackpressureError) as excinfo:
-                    await gateway.aquery(query)
-                assert excinfo.value.depth == 2
+            async with AsyncGateway(flow_engine, max_queue=2) as gateway:
+                # three requests in one tick: two fill the queue before
+                # the window is dispatched, the third is turned away
+                tasks = [
+                    asyncio.ensure_future(gateway.aquery(query))
+                    for _ in range(3)
+                ]
+                answers = await asyncio.gather(*tasks, return_exceptions=True)
+                assert answers[:2] == [flow_engine.query(query)] * 2
+                assert isinstance(answers[2], BackpressureError)
+                assert answers[2].depth == 2
                 assert gateway.stats.rejected_backpressure == 1
-                await asyncio.gather(*tasks)
 
         asyncio.run(run())
 
@@ -241,7 +287,6 @@ class TestRejections:
         async def run():
             async with AsyncGateway(
                 flow_engine,
-                window_seconds=0.0,
                 admission_rate=0.001,
                 admission_burst=1.0,
             ) as gateway:
@@ -260,14 +305,14 @@ class TestRejections:
         query = FSPQuery(0, 5, 0)
 
         async def run():
-            async with AsyncGateway(
-                flow_engine, window_seconds=0.05, max_queue=1
-            ) as gateway:
-                task = asyncio.ensure_future(gateway.aquery(query))
-                await asyncio.sleep(0)
+            async with AsyncGateway(flow_engine, max_queue=1) as gateway:
+                accepted, rejected = [
+                    asyncio.ensure_future(gateway.aquery(query))
+                    for _ in range(2)
+                ]
+                await accepted
                 with pytest.raises(BackpressureError):
-                    await gateway.aquery(query)
-                await task
+                    await rejected
 
         asyncio.run(run())
         rejected = registry.get("repro_async_rejected_total")
@@ -287,7 +332,7 @@ class TestRejections:
         previous = obs.set_tracer(tracer)
 
         async def run():
-            async with AsyncGateway(flow_engine, window_seconds=0.0) as gateway:
+            async with AsyncGateway(flow_engine) as gateway:
                 with obs.trace("client.call") as client:
                     await gateway.aquery(FSPQuery(0, 5, 0))
                 return client
@@ -314,7 +359,7 @@ class TestRejections:
 class TestSyncSubmit:
     def test_submit_round_trips_through_background_loop(self, flow_engine):
         query = FSPQuery(0, 7, 0)
-        gateway = AsyncGateway(flow_engine, window_seconds=0.0).start()
+        gateway = AsyncGateway(flow_engine).start()
         try:
             futures = [gateway.submit(query) for _ in range(5)]
             expected = flow_engine.query(query)
@@ -345,7 +390,6 @@ class TestSyncSubmit:
     def test_rejections_surface_on_the_future(self, flow_engine):
         gateway = AsyncGateway(
             flow_engine,
-            window_seconds=0.0,
             admission_rate=0.001,
             admission_burst=1.0,
         ).start()
@@ -365,16 +409,19 @@ class TestSyncSubmit:
 class TestConstruction:
     def test_rejects_bad_parameters(self, flow_engine):
         with pytest.raises(QueryError):
-            AsyncGateway(flow_engine, window_seconds=-1.0)
-        with pytest.raises(QueryError):
             AsyncGateway(flow_engine, max_window=0)
         with pytest.raises(QueryError):
             AsyncGateway(flow_engine, max_queue=0)
         with pytest.raises(QueryError):
             AsyncGateway(flow_engine, workers=0)
 
+    def test_window_seconds_is_deprecated_and_ignored(self, flow_engine):
+        with pytest.warns(DeprecationWarning, match="window_seconds"):
+            gateway = AsyncGateway(flow_engine, window_seconds=-1.0)
+        assert not hasattr(gateway, "window_seconds")
+
     def test_one_gateway_per_loop(self, flow_engine):
-        gateway = AsyncGateway(flow_engine, window_seconds=0.0)
+        gateway = AsyncGateway(flow_engine)
 
         async def first():
             async with gateway:

@@ -239,35 +239,14 @@ class TestTimingHelpers:
                 raise RuntimeError("boom")
         assert registry.get("repro_boom_seconds") is None
 
-    def test_stopwatch_class_name_is_deprecated(self):
-        with pytest.warns(DeprecationWarning, match="obs.Stopwatch"):
-            cls = obs.Stopwatch
-        assert cls is obs.Span
-
-    def test_timed_decorator(self, registry):
-        with pytest.warns(DeprecationWarning, match="obs.timed"):
-            timed = obs.timed
-
-        @timed("repro_fn_seconds", kind="unit")
-        def add(a, b):
-            return a + b
-
-        assert add(2, 3) == 5
-        assert registry.get("repro_fn_seconds").count(kind="unit") == 1
-
-    def test_timed_short_circuits_when_off(self):
-        previous = obs.set_registry(obs.MetricsRegistry(enabled=False))
-        try:
-            with pytest.warns(DeprecationWarning, match="obs.timed"):
-
-                @obs.timed("repro_off_seconds")
-                def f():
-                    return 42
-
-            assert f() == 42
-        finally:
-            registry = obs.set_registry(previous)
-        assert registry.get("repro_off_seconds") is None
+    def test_expired_timing_shims_are_gone(self):
+        """``obs.Stopwatch`` and ``obs.timed`` finished their deprecation
+        cycle: the span (``obs.stopwatch`` / ``obs.trace``) is the one
+        timer."""
+        with pytest.raises(AttributeError):
+            obs.Stopwatch
+        with pytest.raises(AttributeError):
+            obs.timed
 
 
 # ----------------------------------------------------------------------

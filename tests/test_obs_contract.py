@@ -130,7 +130,7 @@ def _drive_gateway() -> None:
     gateway.batch([FSPQuery(1, n - 2, 0), FSPQuery(2, n - 3, 0)])
 
     async def window():
-        async with AsyncGateway(gateway, window_seconds=0.0) as front:
+        async with AsyncGateway(gateway) as front:
             await asyncio.gather(
                 front.aquery(FSPQuery(0, n - 1, 0)),
                 front.aquery(FSPQuery(3, n - 4, 0)),

@@ -64,7 +64,7 @@ def _poisoned_window(front_engine, queries: list[FSPQuery]) -> list:
     bad = FSPQuery(queries[0].source, queries[0].target, 10_000)
 
     async def run():
-        async with AsyncGateway(front_engine, window_seconds=0.0) as gateway:
+        async with AsyncGateway(front_engine) as gateway:
             tasks = [
                 asyncio.ensure_future(gateway.aquery(query))
                 for query in [*queries[:1], bad, *queries[1:]]
