@@ -12,10 +12,14 @@ touching results:
   through the engine's own :meth:`~repro.core.fpsps.FlowAwareEngine.query`,
   so any oracle the flat kernel speaks for keeps it.
 * ``batch_query(..., workers=N)`` — fans contiguous chunks of the
-  target-grouped order out to a ``fork`` multiprocessing pool.  The built
-  index is shared with the workers copy-on-write (nothing is pickled on
-  the way in), results come back in input order, and the values are
-  bit-identical to the serial path.
+  target-grouped order out to a ``fork`` multiprocessing pool.  Right
+  before the fork the parent runs
+  :meth:`~repro.core.fpsps.FlowAwareEngine.prime`, which builds the flat
+  kernel, its spur-certificate CSR, the label arena and its sweep plan
+  (no heuristic table) if they are not built yet.  The workers then share
+  them with the built index copy-on-write (nothing is pickled on the way
+  in) instead of each rebuilding them on every batch.  Results come back
+  in input order, and the values are bit-identical to the serial path.
 
 The pool path is *hardened*: every degradation is observable (pass a
 :class:`BatchReport` to collect the structured reason, or watch the
@@ -265,6 +269,14 @@ def _run_parallel(
 ) -> list[tuple[int, FSPResult]] | None:
     """Evaluate via a fork pool; ``None`` means "use the serial path".
 
+    The engine is primed (:meth:`~repro.core.fpsps.FlowAwareEngine.prime`)
+    just before the fork, so the flat kernel, label arena and sweep plan
+    are built once, in the parent.  Every worker reads them copy-on-write,
+    and the serial recovery of a lost chunk reads the parent's own.  The
+    pool lives for one batch: its workers' CPU shows up in the parent's
+    ``RUSAGE_CHILDREN`` once they are reaped, and none of them can
+    outlive an index swap.
+
     Chunks are contiguous slices of the target-grouped order (so each
     worker's heuristic tables still see their targets grouped), a few per
     worker for load balance.  The parent waits at most ``chunk_timeout``
@@ -285,6 +297,9 @@ def _run_parallel(
     chunks = [indexed[i:i + size] for i in range(0, len(indexed), size)]
     report.chunks = len(chunks)
     report.workers = workers
+    # build the kernel, label arena and sweep plan here, once: the workers
+    # inherit them copy-on-write, and so does the serial recovery below
+    engine.prime()
     try:
         pool = context.Pool(
             processes=workers, initializer=_init_worker, initargs=(engine,)
@@ -387,7 +402,8 @@ def batch_query(
     workers:
         ``1`` (default) evaluates in-process.  ``> 1`` fans contiguous
         chunks of the target-grouped order out to a ``fork``
-        multiprocessing pool sharing the built index copy-on-write, and
+        multiprocessing pool sharing the built index and the primed query
+        structures copy-on-write, and
         falls back to the serial path when ``fork`` is unavailable or the
         pool cannot start.  Both paths return bit-identical results.
     chunk_timeout:

@@ -321,18 +321,22 @@ class FlatQueryKernel:
     # ------------------------------------------------------------------
     # spur certificates
     # ------------------------------------------------------------------
-    def _spur_tree(self, entry: list) -> list[int]:
-        """Unique next hops of the shortest-path tree of an h-cache entry.
+    def prime(self) -> None:
+        """Build the spur-certificate CSR now, while certificates are on.
 
-        Entry ``v`` is the neighbour ``u`` with ``w(v, u) + h[u] == h[v]``
-        when exactly one neighbour is that tight, else ``-1`` (a tie, the
-        target itself, or a table that is not tight at ``v``).  Two numpy
-        reductions over a CSR copy of the adjacency rows and the entry's
-        float64 table; the result is stored in the entry, so table and
-        tree drop together.
+        Otherwise the first strict spur of a query builds it; with any
+        non-integral weight certificates are off and nothing is built.
         """
-        if entry[2] is not None:
-            return entry[2]
+        if not self._inexact:
+            self._spur_csr()
+
+    def _spur_csr(self) -> tuple[np.ndarray, ...]:
+        """CSR copy of the adjacency rows for :meth:`_spur_tree` (cached).
+
+        ``(rows, starts, owner, nbr, wts)``: the vertices with neighbours,
+        where each one's run starts, the owner of every entry, and the
+        entries' neighbours and weights.  A weight patch drops it.
+        """
         if self._csr is None:
             adj = self.adj
             deg = np.fromiter(map(len, adj), dtype=np.intp, count=len(adj))
@@ -348,7 +352,21 @@ class FlatQueryKernel:
             starts = (np.cumsum(deg) - deg)[rows]
             owner = np.repeat(np.arange(len(adj)), deg)
             self._csr = (rows, starts, owner, nbr, wts)
-        rows, starts, owner, nbr, wts = self._csr
+        return self._csr
+
+    def _spur_tree(self, entry: list) -> list[int]:
+        """Unique next hops of the shortest-path tree of an h-cache entry.
+
+        Entry ``v`` is the neighbour ``u`` with ``w(v, u) + h[u] == h[v]``
+        when exactly one neighbour is that tight, else ``-1`` (a tie, the
+        target itself, or a table that is not tight at ``v``).  Two numpy
+        reductions over a CSR copy of the adjacency rows and the entry's
+        float64 table; the result is stored in the entry, so table and
+        tree drop together.
+        """
+        if entry[2] is not None:
+            return entry[2]
+        rows, starts, owner, nbr, wts = self._spur_csr()
         hv = entry[1]
         nxt = np.full(len(hv), -1, dtype=np.intp)
         if nbr.size:

@@ -262,15 +262,32 @@ class FlowAwareEngine:
         self._flat_kernel_cache = None
 
     def prime(self) -> None:
-        """Rebuild the flat kernel eagerly (a no-op for scalar engines).
+        """Build what a query would build lazily on the current oracle.
 
-        After an index swap, :meth:`invalidate` leaves the kernel to be
-        rebuilt lazily — which would bill the arena/adjacency build to the
-        first query on the new index.  Background maintenance (the serving
-        layer's consolidation pass) calls this right after the swap so the
-        rebuild happens on the maintenance plane instead.
+        That is the flat kernel and its spur-certificate CSR (while every
+        weight is integral), and, while the overlay is empty, a hierarchy
+        index's current :class:`~repro.labeling.arena.LabelArena` and, on
+        a quantized arena, its sweep plan.  No heuristic table is swept.
+        A no-op for scalar engines and oracles the kernel cannot speak
+        for.
+
+        Two callers: the serving layer's consolidation pass, right after
+        its index swap, so the first query on the new index does not pay
+        the rebuild; and :func:`~repro.core.batch.batch_query`, right
+        before it forks its pool, so every worker inherits the warm state
+        copy-on-write instead of rebuilding it per batch.
         """
-        self._flat_kernel()
+        kern = self._flat_kernel()
+        if kern is None:
+            return
+        kern.prime()
+        index = kern.index
+        if isinstance(index, HierarchyIndex) and (
+            kern.overlay is None or kern.overlay.is_empty
+        ):
+            arena = index.arena()
+            if arena.quantized:
+                arena.sweep_plan(index)
 
     def _flat_kernel(self) -> FlatQueryKernel | None:
         """The flat kernel for the current oracle, or ``None``.

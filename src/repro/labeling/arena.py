@@ -26,10 +26,12 @@ where every ``y`` is a shallower ancestor of ``x``, and for an ancestor
 ``a`` of ``t`` the value is ``L_t[depth(a)]`` directly.
 :meth:`LabelArena.distances_to_many` evaluates this top-down for ``k``
 targets at once, one tree level per numpy reduction over an ``(n, k)``
-buffer, on a per-level :class:`SweepPlan` built lazily on the first call:
-O(k · sum of bag sizes) reads instead of one LCA position row per vertex
-and target.  Most of a level's cost is the fixed overhead of its numpy
-calls, which the ``k`` targets share.
+buffer, on a per-level :class:`SweepPlan` built lazily on the first call
+(or ahead of it by :meth:`LabelArena.sweep_plan`, which is how the query
+engine warms an index before forking batch workers): O(k · sum of bag
+sizes) reads instead of one LCA position row per vertex and target.
+Most of a level's cost is the fixed overhead of its numpy calls, which
+the ``k`` targets share.
 
 The arena is a *snapshot*: it records the index's label version at build
 time, and :meth:`HierarchyIndex.arena` rebuilds it whenever maintenance
@@ -285,6 +287,20 @@ class LabelArena:
         """The packed distance label of ``v`` (a view, no copy)."""
         return self.label_values[self.label_offsets[v]:self.label_offsets[v + 1]]
 
+    def sweep_plan(self, index: "HierarchyIndex") -> SweepPlan:
+        """The :class:`SweepPlan` of :meth:`distances_to_many`, built once.
+
+        ``index`` is the index this arena snapshots; the first call packs
+        its tree depths and bags into the plan, without sweeping any
+        table.  Only for :attr:`quantized` arenas.
+        """
+        plan = self._plan
+        if plan is None:
+            if index.label_version != self.version:
+                raise IndexStateError("sweep plan needs the arena's own index")
+            plan = self._plan = SweepPlan(self, index)
+        return plan
+
     def distances_to_many(
         self, targets: np.ndarray, index: "HierarchyIndex"
     ) -> tuple[np.ndarray, int]:
@@ -292,8 +308,8 @@ class LabelArena:
 
         Only for :attr:`quantized` arenas; ``targets`` is a 1-D int64 array
         of valid vertex ids (duplicates allowed).  ``index`` is the index
-        this arena snapshots; the first call packs its tree depths and bags
-        into the :class:`SweepPlan`.  Returns a ``(k, n)`` float64 block
+        this arena snapshots; the first call builds the
+        :meth:`sweep_plan`.  Returns a ``(k, n)`` float64 block
         whose row ``j`` is the table of ``targets[j]``, bit-identical to
         ``[index.distance(v, targets[j]) for v]``, and the label entries
         read: ``k`` times the padded plan cells of the levels visited plus
@@ -317,11 +333,7 @@ class LabelArena:
         Every value is an integer below ``2**42``, so each sum and minimum
         is exact.
         """
-        plan = self._plan
-        if plan is None:
-            if index.label_version != self.version:
-                raise IndexStateError("sweep plan needs the arena's own index")
-            plan = self._plan = SweepPlan(self, index)
+        plan = self.sweep_plan(index)
         n, k = self.num_vertices, len(targets)
         one = k == 1
         if one:

@@ -528,8 +528,9 @@ class ResilientEngine:
             "background consolidation swaps committed",
         )
         self.invalidate()
-        # rebuild the flat kernel here, on the consolidation plane — the
-        # first query after the swap must not pay the arena rebuild
+        # rebuild the flat kernel, label arena and sweep plan here, on the
+        # consolidation plane — the first query after the swap must not
+        # pay the arena rebuild
         self._engine.prime()
         self._sync_depth_gauges()
         if self.durability is not None and not self._replaying:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
 import repro.core.batch as batch_module
-from repro.core.batch import batch_query
+from repro.core.batch import BatchReport, batch_query, set_worker_fault_hook
 from repro.core.fahl import build_fahl
+from repro.core.flatq import FlatQueryKernel
 from repro.core.fpsps import FlowAwareEngine
 from repro.core.fspq import FSPQuery
 from repro.errors import QueryError
@@ -15,6 +18,7 @@ from repro.flow.series import FlowSeries
 from repro.flow.synthetic import generate_flow_series
 from repro.graph.frn import FlowAwareRoadNetwork
 from repro.graph.road_network import RoadNetwork
+from repro.labeling.arena import LabelArena, SweepPlan
 from repro.labeling.hierarchy import HierarchyIndex
 from repro.serving import ResilientEngine, WeightUpdate
 
@@ -307,3 +311,89 @@ class TestMultiTargetSweep:
         assert [r for _, r in pairs] == [q.target for _, q in indexed]
         assert calls == [list(range(1, 33)), list(range(33, 65)),
                          list(range(65, 71))]
+
+
+@pytest.fixture()
+def build_log(tmp_path, monkeypatch):
+    """Records every kernel, arena and sweep-plan construction, with its pid.
+
+    One ``<class> <pid>`` line per construction goes to a file the parent
+    reads back, so constructions in forked pool workers count too.
+    """
+    log = tmp_path / "builds.log"
+    log.touch()
+
+    def logged(cls):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{cls.__name__} {os.getpid()}\n")
+            init(self, *args, **kwargs)
+
+        return counted
+
+    for cls in (FlatQueryKernel, LabelArena, SweepPlan):
+        monkeypatch.setattr(cls, "__init__", logged(cls))
+    return lambda: [tuple(line.split()) for line in log.read_text().splitlines()]
+
+
+def _require_warm_worker(positions: list[int]) -> None:
+    """Worker fault hook: fail the chunk unless the worker started warm."""
+    engine = batch_module._WORKER_ENGINE
+    index = engine.oracle
+    kern = engine._flat_kernel_cache
+    arena = index._arena
+    if (
+        kern is None
+        or kern._csr is None
+        or arena is None
+        or arena.version != index.label_version
+        or arena._plan is None
+    ):
+        raise RuntimeError(f"chunk {positions[:1]} started in a cold worker")
+
+
+class TestWarmBeforeFork:
+    """The parent builds the query-side state once; queries build none."""
+
+    def test_pool_workers_inherit_the_warm_state(
+        self, medium_frn, rng, build_log
+    ):
+        index = build_fahl(medium_frn)
+        engine = FlowAwareEngine(medium_frn, oracle=index, max_candidates=8)
+        assert index._arena is None  # cold until the first batch
+        start = len(build_log())
+        batches = [distinct_target_queries(medium_frn, rng, 40) for _ in range(2)]
+        answers = []
+        set_worker_fault_hook(_require_warm_worker)
+        try:
+            for queries in batches:
+                report = BatchReport()
+                answers.append(batch_query(engine, queries, workers=2, report=report))
+                assert report.mode == "parallel"
+                assert report.recovered_chunks == 0
+        finally:
+            set_worker_fault_hook(None)
+        built = build_log()[start:]
+        parent = str(os.getpid())
+        assert [name for name, pid in built if pid != parent] == []
+        # the first batch primes the parent once; the second reuses it
+        assert sorted(name for name, _ in built) == [
+            "FlatQueryKernel", "LabelArena", "SweepPlan",
+        ]
+        assert answers == [[engine.query(q) for q in queries] for queries in batches]
+
+    def test_first_query_after_consolidation_builds_nothing(
+        self, medium_frn, rng, build_log
+    ):
+        serving = ResilientEngine(medium_frn, overlay_capacity=64)
+        u, v, w = next(iter(medium_frn.graph.edges()))
+        assert serving.submit(WeightUpdate(u, v, w * 3, timestamp=1.0)).applied
+        assert serving.consolidate() == "done"
+        assert serving.status().overlay_edges == 0
+        start = len(build_log())
+        query = distinct_target_queries(medium_frn, rng, 1)[0]
+        answer = serving.query(query).result
+        assert build_log()[start:] == []
+        assert answer == serving.batch([query], kernel="scalar")[0].result
