@@ -18,7 +18,9 @@ smallest network.  Per rung it records:
   ``--repeat`` runs, with every swept row asserted bit-identical to its
   single table.  The sweep plan is built before the timing, and after
   ``index_mb`` is read.  Commits without ``distances_to_many`` report
-  ``null`` for k = 32.
+  ``null`` for k = 32;
+* the label arena's size, sweep plan included (``index.arena().nbytes``),
+  read after the table columns.
 
 Results go to ``BENCH_build_ladder.json`` in the shared
 ``{bench, env, config, results}`` layout.
@@ -117,6 +119,7 @@ def rung(scale: float, repeat: int, seed: int) -> dict:
     dense_k = int(registry.gauge(_DENSE_GAUGE).value())
     index_mb = index.index_size_bytes() / 1e6
     table_k1_ms, table_k32_ms = table_ms(index, repeat, seed)
+    arena_mb = index.arena().nbytes / 1e6
     return {
         "scale": scale,
         "num_vertices": graph.num_vertices,
@@ -130,6 +133,7 @@ def rung(scale: float, repeat: int, seed: int) -> dict:
         "checksum": index.checksum(),
         "table_k1_ms_per_target": table_k1_ms,
         "table_k32_ms_per_target": table_k32_ms,
+        "arena_mb": arena_mb,
     }
 
 
@@ -155,7 +159,8 @@ def main() -> int:
             f"dense k={row['dense_core_vertices']} "
             f"({row['dense_matrix_mb']:.1f} MB) {row['checksum']} "
             f"table {row['table_k1_ms_per_target']:.2f} ms/target at k=1, "
-            f"{row['table_k32_ms_per_target'] or float('nan'):.2f} at k={SWEEP_K}",
+            f"{row['table_k32_ms_per_target'] or float('nan'):.2f} at k={SWEEP_K}, "
+            f"arena {row['arena_mb']:.1f} MB",
             flush=True,
         )
     payload = {

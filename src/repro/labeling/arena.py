@@ -7,12 +7,14 @@ wrong for throughput: every scalar query pays several Python-level
 indirections, and the label slices are scattered across the heap.  Flat
 label storage is what gives practical labeling systems their query speed
 (hierarchical cut labelling and PSL both pack labels contiguously), so
-:class:`LabelArena` snapshots the index's labels, via indices and position
-arrays into flat ``float64``/``int32``/``int64`` arrays with ``int64``
-offset tables; the ancestor paths are shared with the index, which already
-stores them flat.  :meth:`pair_distances` then answers thousands of
-(source, target, hub) triples with a handful of numpy gathers and one
-segmented reduction — no Python loop on the hot path.
+:class:`LabelArena` snapshots the index's labels and position arrays into
+one flat array each, with ``int64`` offset tables; the ancestor paths are
+shared with the index, which already stores them flat.  The labels are
+packed once, as ``int64`` when every entry is a small non-negative integer
+(always so on integer-weight road networks) and as ``float64`` otherwise.
+:meth:`pair_distances` then answers thousands of (source, target, hub)
+triples with a handful of numpy gathers and one reduction — no Python loop
+on the hot path.
 
 The one-to-all table ``dis(·, t)`` uses a different kernel.  In the tree
 decomposition, ``bag(x)`` separates ``subtree(x)`` from the rest of the
@@ -57,9 +59,8 @@ __all__ = ["LabelArena"]
 #: :meth:`LabelArena.pair_distances` uses the segmented-reduction kernel.
 _DENSE_POS_LIMIT = 32_000_000
 
-#: quantized sentinel standing in for "no entry": larger than any real
-#: packed distance (road weights are small integers), and safe to add to
-#: itself without overflowing int64.
+#: labels are packed as int64 only when every entry is below this bound, so
+#: any sum of two entries stays below 2**41: exact in int64 and in float64.
 _QUANT_INF = np.int64(2) ** 40
 
 
@@ -74,6 +75,18 @@ def _pack(arrays: list[np.ndarray], dtype) -> tuple[np.ndarray, np.ndarray]:
     return offsets, np.concatenate(arrays).astype(dtype, copy=False)
 
 
+def _integral(values: np.ndarray) -> bool:
+    """Whether every value is a non-negative integer below :data:`_QUANT_INF`.
+
+    Such labels pack as int64 with no query rounding: a sum of two entries
+    is below ``2**41``, far inside both int64 and the ``2**53`` window where
+    float64 represents integers exactly.
+    """
+    if values.size == 0 or not np.all(np.floor(values) == values):
+        return False
+    return float(values.min()) >= 0.0 and float(values.max()) < float(_QUANT_INF)
+
+
 class SweepPlan:
     """Per-depth rows of the one-to-all recurrence, in depth-sorted order.
 
@@ -81,10 +94,10 @@ class SweepPlan:
     is the contiguous slice ``levels[d - 1][0:2]`` of the sweep's distance
     buffer.  Each level stores two ``(width, count)``
     matrices, one column per vertex of the level: the depth-sorted ids of
-    the vertex's bag ancestors and its label entries at those ancestors'
-    depths, ``L_x[depth(y)]``.  A column shorter than the level's widest
-    bag is padded by repeating its last entry, as the padded position
-    matrix does; a duplicate candidate never changes a minimum.
+    the vertex's bag ancestors and its int64 label entries at those
+    ancestors' depths, ``L_x[depth(y)]``.  A column shorter than the
+    level's widest bag is padded by repeating its last entry, as the padded
+    position matrix does; a duplicate candidate never changes a minimum.
 
     Attributes
     ----------
@@ -106,7 +119,7 @@ class SweepPlan:
         counts = bag_offsets[1:] - bag_offsets[:-1]
         # label entry of every bag member at its depth, flat like bag_flat
         owner_label = np.repeat(arena.label_offsets[:-1], counts)
-        bag_lab = arena.label_values_q[owner_label + depth[bag_flat]]
+        bag_lab = arena.label_values[owner_label + depth[bag_flat]]
         bag_slot = self.rank[bag_flat]
         bounds = np.searchsorted(depth[order], np.arange(int(depth.max()) + 2))
         self.levels: list[tuple[int, int, np.ndarray, np.ndarray]] = []
@@ -128,7 +141,7 @@ class SweepPlan:
 
 
 class LabelArena:
-    """Flat-packed labels/vias/positions of one :class:`HierarchyIndex`.
+    """Flat-packed labels and positions of one :class:`HierarchyIndex`.
 
     Attributes
     ----------
@@ -137,9 +150,11 @@ class LabelArena:
         :meth:`HierarchyIndex.arena` to decide whether a rebuild is due.
     label_offsets, label_values:
         ``label_values[label_offsets[v]:label_offsets[v + 1]]`` is the
-        distance label of ``v`` (float64).
-    via_offsets, via_values:
-        Per-vertex via indices (int32), same layout.
+        distance label of ``v``: the arena's one copy of the labels.  It is
+        int64 when every entry is a non-negative integer below
+        :data:`_QUANT_INF` (see :attr:`quantized`), float64 otherwise.
+        Sums and minima of such integers are exact in either dtype, so
+        every kernel returns the same float64 bits on both.
     pos_offsets, pos_values:
         Def.-8 position arrays (int64), same layout.
     pos_pad:
@@ -148,22 +163,6 @@ class LabelArena:
         candidate never changes a minimum).  Lets the hot kernel run on
         rectangular gathers with no per-pair expansion; ``None`` when the
         matrix would exceed the :data:`_DENSE_POS_LIMIT` element budget.
-    label_pad:
-        Dense ``(n, max_label_width)`` padded rectangular view of the
-        labels (pad value ``+inf``): ``label_pad[v, j] == labels[v][j]``
-        for every valid depth position ``j``.  Hub position arrays only
-        address depths at or above the hub, which both endpoint labels
-        cover, so rectangular kernels never read the padding.
-    label_values_q, label_pad_q:
-        Packed-int (int64) quantized copies of the distance labels, built
-        only when every label value is integral and small enough that all
-        query arithmetic stays exact (see :attr:`quantized`).  Integer
-        gathers sidestep float rounding questions entirely: sums and
-        minima of integral float64 values are exact, so the quantized
-        kernel agrees bit for bit with the float path.  ``label_pad_q``
-        additionally needs the dense ``label_pad`` (``None`` past the
-        :data:`_DENSE_POS_LIMIT` budget); the one-to-all sweep needs only
-        ``label_values_q``.
     anc_offsets, anc_values:
         Root-to-vertex ancestor paths — *shared* with the index's flat
         ancestor storage, not copied.
@@ -174,11 +173,6 @@ class LabelArena:
         "num_vertices",
         "label_offsets",
         "label_values",
-        "label_pad",
-        "label_values_q",
-        "label_pad_q",
-        "via_offsets",
-        "via_values",
         "pos_offsets",
         "pos_values",
         "pos_pad",
@@ -190,12 +184,12 @@ class LabelArena:
     def __init__(self, index: "HierarchyIndex") -> None:
         self.num_vertices = index.graph.num_vertices
         self.version = index.label_version
-        self.label_offsets, self.label_values = _pack(index.labels, np.float64)
-        self.via_offsets, self.via_values = _pack(index.vias, np.int32)
+        self.label_offsets, values = _pack(index.labels, np.float64)
+        self.label_values = (
+            values.astype(np.int64) if _integral(values) else values
+        )
         self.pos_offsets, self.pos_values = _pack(index.positions, np.int64)
         self.pos_pad = self._pad_positions()
-        self.label_pad = self._pad_labels()
-        self.label_values_q, self.label_pad_q = self._quantize()
         self.anc_offsets = index.anc_offsets
         self.anc_values = index.anc_flat
         self._plan: SweepPlan | None = None
@@ -211,41 +205,6 @@ class LabelArena:
         idx = self.pos_offsets[:-1, None] + np.minimum(col, counts[:, None] - 1)
         return self.pos_values[idx]
 
-    def _pad_labels(self) -> np.ndarray | None:
-        n = self.num_vertices
-        counts = self.label_offsets[1:] - self.label_offsets[:-1]
-        if n == 0 or int(counts.max()) * n > _DENSE_POS_LIMIT:
-            return None
-        width = int(counts.max())
-        col = np.arange(width, dtype=np.int64)
-        idx = self.label_offsets[:-1, None] + np.minimum(col, counts[:, None] - 1)
-        pad = self.label_values[idx]
-        pad[col[None, :] >= counts[:, None]] = np.inf
-        return pad
-
-    def _quantize(self) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """Packed-int label copies when exactness is provable.
-
-        Quantization requires every label value to be a non-negative
-        integer below :data:`_QUANT_INF`: any sum of two such entries is
-        below ``2**41``, far inside both int64 and the 2**53 window where
-        float64 represents integers exactly — so the integer kernel and
-        the float kernel compute identical distances, bit for bit.
-        """
-        values = self.label_values
-        if values.size == 0:
-            return None, None
-        if not np.all(np.floor(values) == values):
-            return None, None
-        if float(values.min()) < 0.0 or float(values.max()) >= float(_QUANT_INF):
-            return None, None
-        if self.label_pad is None:
-            return values.astype(np.int64), None
-        pad_q = np.where(
-            np.isfinite(self.label_pad), self.label_pad, float(_QUANT_INF)
-        ).astype(np.int64)
-        return values.astype(np.int64), pad_q
-
     @property
     def nbytes(self) -> int:
         """Bytes owned by the arena, its :class:`SweepPlan` once built.
@@ -256,36 +215,22 @@ class LabelArena:
         return (
             self.label_offsets.nbytes
             + self.label_values.nbytes
-            + self.via_offsets.nbytes
-            + self.via_values.nbytes
             + self.pos_offsets.nbytes
             + self.pos_values.nbytes
             + (self.pos_pad.nbytes if self.pos_pad is not None else 0)
-            + (self.label_pad.nbytes if self.label_pad is not None else 0)
-            + (
-                self.label_values_q.nbytes
-                if self.label_values_q is not None
-                else 0
-            )
-            + (self.label_pad_q.nbytes if self.label_pad_q is not None else 0)
             + (self._plan.nbytes if self._plan is not None else 0)
         )
 
     @property
     def quantized(self) -> bool:
-        """Whether the packed-int kernels are active.
+        """Whether the labels are packed as int64.
 
-        True when every label value is a non-negative integer below the
-        sentinel — always the case for integer-weight road networks, where
-        label entries are sums of edge weights.  It selects the one-to-all
-        sweep of :meth:`distances_to`; :meth:`pair_distances` also needs
-        the dense ``label_pad_q``.
+        True when every label value is a non-negative integer below
+        :data:`_QUANT_INF` — always the case for integer-weight road
+        networks, where label entries are sums of edge weights.  It selects
+        the one-to-all sweep of :meth:`distances_to_many`.
         """
-        return self.label_values_q is not None
-
-    def label(self, v: int) -> np.ndarray:
-        """The packed distance label of ``v`` (a view, no copy)."""
-        return self.label_values[self.label_offsets[v]:self.label_offsets[v + 1]]
+        return self.label_values.dtype == np.int64
 
     def sweep_plan(self, index: "HierarchyIndex") -> SweepPlan:
         """The :class:`SweepPlan` of :meth:`distances_to_many`, built once.
@@ -338,7 +283,7 @@ class LabelArena:
         one = k == 1
         if one:
             t = int(targets[0])
-            lt = self.label_values_q[
+            lt = self.label_values[
                 self.label_offsets[t]:self.label_offsets[t + 1]
             ].tolist()
             slots = plan.rank[
@@ -359,7 +304,7 @@ class LabelArena:
             # target's own depth; alive[d] targets are at least d deep
             levels = np.arange(deepest + 1)
             pick = np.minimum(levels[:, None], depth)
-            lt = self.label_values_q[starts[order] + pick]
+            lt = self.label_values[starts[order] + pick]
             slots = plan.rank[self.anc_values[self.anc_offsets[targets[order]] + pick]]
             slots = slots * k + np.arange(k)
             alive = np.searchsorted(-depth, -levels, side="right").tolist()
@@ -397,35 +342,31 @@ class LabelArena:
         ``hubs[i]`` must be the LCA node of ``sources[i]`` and
         ``targets[i]`` in the decomposition tree (Alg. 2's hub node).  Each
         pair's candidate sums ``label[u][p] + label[v][p]`` over the hub's
-        position array are folded with an exact minimum; a float64 minimum
-        is order-independent over finite values, so both kernels below
-        agree bit for bit with the scalar query.
+        position array are folded with an exact minimum and returned as
+        float64.  Both kernels below run on whichever dtype
+        :attr:`label_values` has: on int64 labels every sum is an integer
+        below ``2**41`` and the cast back to float64 is lossless, and a
+        float64 minimum is order-independent over finite values, so either
+        way the result agrees bit for bit with the scalar query.
 
-        The hot path gathers padded position rows from :attr:`pos_pad` and
-        reduces along a rectangular axis — no per-pair expansion at all
-        (the pad duplicates each row's last candidate, which cannot change
-        a minimum).  When the arena is :attr:`quantized` and dense, the
-        gather runs over the packed-int view ``label_pad_q``: integer sums and
-        minima are exact and the final cast back to float64 is lossless,
-        so the result is the same array.  When the dense matrix was over
-        budget at build time, a ragged kernel expands each pair's window
-        with ``repeat`` and folds it with a segmented
+        The hot path gathers padded position rows from :attr:`pos_pad`,
+        shifts them by each endpoint's label offset and reduces along a
+        rectangular axis — no per-pair expansion at all (the pad duplicates
+        each row's last candidate, which cannot change a minimum).  When the
+        dense matrix was over budget at build time, a ragged kernel expands
+        each pair's window with ``repeat`` and folds it with a segmented
         ``minimum.reduceat`` — segments are never empty because every
         position array contains the vertex's own depth.
         """
-        if self.pos_pad is not None and self.label_pad_q is not None:
-            pos = self.pos_pad.take(hubs, axis=0)
-            lu = self.label_pad_q[sources[:, None], pos]
-            lu += self.label_pad_q[targets[:, None], pos]
-            return np.min(lu, axis=1).astype(np.float64)
+        values = self.label_values
         if self.pos_pad is not None:
             idx = self.pos_pad.take(hubs, axis=0)
-            off_u = self.label_offsets[sources]
+            off_u = self.label_offsets.take(sources)
             idx += off_u[:, None]
-            lu = self.label_values.take(idx)
-            idx += (self.label_offsets[targets] - off_u)[:, None]
-            np.add(lu, self.label_values.take(idx), out=lu)
-            return np.min(lu, axis=1)
+            lu = values.take(idx)
+            idx += (self.label_offsets.take(targets) - off_u)[:, None]
+            lu += values.take(idx)
+            return lu.min(axis=1).astype(np.float64, copy=False)
         # ragged fallback: hub-sorted so shared hubs reuse cached windows
         order = np.argsort(hubs, kind="stable")
         h = hubs[order]
@@ -442,12 +383,11 @@ class LabelArena:
         off_v = label_offsets[targets[order]]
         idx = np.repeat(off_u, counts)
         idx += pos
-        lu = np.take(self.label_values, idx)
+        lu = np.take(values, idx)
         idx += np.repeat(off_v - off_u, counts)
-        lu += np.take(self.label_values, idx)
-        mins = np.minimum.reduceat(lu, starts)
-        out = np.empty_like(mins)
-        out[order] = mins
+        lu += np.take(values, idx)
+        out = np.empty(len(order), dtype=np.float64)
+        out[order] = np.minimum.reduceat(lu, starts)
         return out
 
     def __repr__(self) -> str:

@@ -282,9 +282,9 @@ class HierarchyIndex:
         """Vectorised :meth:`distance` over aligned vertex arrays.
 
         Computes every pair with one batched LCA lookup plus the arena's
-        gather/segmented-min kernel — identical arithmetic to the scalar
-        query (same float64 sums, same minimum), so results agree bit for
-        bit with a :meth:`distance` loop.  Pairs with ``source == target``
+        gather/segmented-min kernel — the scalar query's sums and minimum,
+        exact whether the arena packs the labels as int64 or float64, so
+        results agree bit for bit with a :meth:`distance` loop.  Pairs with ``source == target``
         come out as exactly ``0.0`` through the label's own zero entry.
         """
         us = np.asarray(sources, dtype=np.int64)
@@ -406,7 +406,6 @@ class HierarchyIndex:
         pos = self.positions[hub_node]
         sums = self.labels[u][pos] + self.labels[v][pos]
         k = int(pos[int(np.argmin(sums))])
-        hub = int(self.anc[hub_node][k])
         up = self._path_up(u, k)
         down = self._path_up(v, k)
         return up + down[-2::-1]

@@ -31,9 +31,6 @@ class TestArenaLayout:
         for v in range(n):
             lo, hi = int(arena.label_offsets[v]), int(arena.label_offsets[v + 1])
             assert np.array_equal(arena.label_values[lo:hi], index.labels[v])
-            assert np.array_equal(arena.label(v), index.labels[v])
-            lo, hi = int(arena.via_offsets[v]), int(arena.via_offsets[v + 1])
-            assert np.array_equal(arena.via_values[lo:hi], index.vias[v])
             lo, hi = int(arena.pos_offsets[v]), int(arena.pos_offsets[v + 1])
             assert np.array_equal(arena.pos_values[lo:hi], index.positions[v])
 
@@ -192,6 +189,37 @@ class TestIndexSizeBytes:
         assert twin.index_size_bytes() == before
 
 
+    def test_one_label_copy(self, small_grid):
+        """The arena packs each label entry once, as int64 while integral."""
+        index = build_h2h(small_grid)
+
+        def layout(arena):
+            return (
+                arena.label_offsets.nbytes
+                + arena.label_values.nbytes
+                + arena.pos_offsets.nbytes
+                + arena.pos_values.nbytes
+                + arena.pos_pad.nbytes
+            )
+
+        arena = index.arena()
+        assert len(arena.label_values) == sum(len(lbl) for lbl in index.labels)
+        assert arena.quantized
+        assert arena.label_values.dtype == np.int64
+        assert arena.nbytes == layout(arena)
+        index.distances_to(0)
+        assert arena.nbytes == layout(arena) + arena._plan.nbytes
+        # a lowered non-integral weight is the edge's own shortest path, so
+        # some label entry turns fractional and the labels repack as float64
+        u, v, w = next(iter(small_grid.edges()))
+        apply_weight_update(index, u, v, w - 0.5)
+        fresh = index.arena()
+        assert fresh is not arena
+        assert not fresh.quantized
+        assert fresh.label_values.dtype == np.float64
+        assert fresh.nbytes == layout(fresh)
+
+
 class TestSweep:
     """The one-to-all bag sweep behind ``distances_to``."""
 
@@ -205,11 +233,11 @@ class TestSweep:
         assert index.arena()._plan is None
 
     def test_past_dense_pad_budget(self, small_grid, monkeypatch):
-        """Without the dense pads the arena still quantises and sweeps."""
+        """Without the dense position pad the arena still quantises and sweeps."""
         monkeypatch.setattr(arena_module, "_DENSE_POS_LIMIT", 1)
         index = build_h2h(small_grid)
         arena = index.arena()
-        assert arena.pos_pad is None and arena.label_pad_q is None
+        assert arena.pos_pad is None
         assert arena.quantized
         n = small_grid.num_vertices
         for t in range(n):

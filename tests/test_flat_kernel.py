@@ -217,8 +217,7 @@ class TestQuantisedArena:
     def test_integer_weights_quantise(self, grid_index):
         arena = grid_index.arena()
         assert arena.quantized
-        assert arena.label_values_q is not None
-        assert arena.label_values_q.dtype == np.int64
+        assert arena.label_values.dtype == np.int64
 
     def test_quantised_distances_exact(self, grid_frn, grid_index):
         n = grid_frn.num_vertices
@@ -237,7 +236,7 @@ class TestQuantisedArena:
         index = FAHLIndex(graph, np.zeros(3), beta=0.5)
         arena = index.arena()
         assert not arena.quantized
-        assert arena.label_values_q is None
+        assert arena.label_values.dtype == np.float64
         # the float path still answers exactly
         assert index.distance(0, 2) == 3.5
 

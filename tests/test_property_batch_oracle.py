@@ -2,24 +2,29 @@
 
 The vectorised kernels (``EulerTourLCA.query_many``, the label arena behind
 ``HierarchyIndex.distance_many``) must agree with the scalar queries bit
-for bit on any graph — including right after a maintenance operation has
-invalidated the packed arena.
+for bit on any graph — on integral weights (int64 labels) and on
+non-integral ones (float64 labels), and right after a maintenance operation
+has invalidated the packed arena.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from repro.core.fahl import FAHLIndex
 from repro.core.maintenance import apply_flow_update, apply_weight_update
+from repro.graph.road_network import RoadNetwork
 from repro.labeling.h2h import build_h2h
 from repro.treedec.elimination import eliminate
 from repro.treedec.lca import EulerTourLCA
 from repro.treedec.ordering import degree_importance
 from repro.treedec.tree import TreeDecomposition
 from tests.strategies import connected_graphs
+
+# a live graph: int weights, some of them scaled by a float update factor
+_FACTORS = st.sampled_from([1.0, 0.65, 1.1, 1.5])
 
 
 def _all_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -36,6 +41,26 @@ def test_distance_many_equals_scalar_loop(graph):
     got = index.distance_many(us, vs)
     for u, v, d in zip(us.tolist(), vs.tolist(), got.tolist()):
         assert d == index.distance(u, v), (u, v)
+
+
+@given(graph=connected_graphs(), data=st.data())
+def test_distance_many_on_float_labels_equals_scalar_loop(graph, data):
+    """Non-integral labels pack as float64; both pair kernels stay exact."""
+    mixed = RoadNetwork(graph.num_vertices)
+    for u, v, w in graph.edges():
+        mixed.add_edge(u, v, w * data.draw(_FACTORS))
+    index = build_h2h(mixed)
+    arena = index.arena()
+    assume(not arena.quantized)
+    assert arena.label_values.dtype == np.float64
+    us, vs = _all_pairs(mixed.num_vertices)
+    expected = [index.distance(u, v) for u, v in zip(us.tolist(), vs.tolist())]
+    assert arena.pos_pad is not None
+    for pos_pad in (arena.pos_pad, None):  # the dense kernel, then the ragged one
+        arena.pos_pad = pos_pad
+        got = index.distance_many(us, vs)
+        assert got.dtype == np.float64
+        assert got.tolist() == expected
 
 
 @given(graph=connected_graphs(max_vertices=20))
