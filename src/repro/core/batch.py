@@ -15,10 +15,10 @@ touching results:
   target-grouped order out to a ``fork`` multiprocessing pool.  Right
   before the fork the parent runs
   :meth:`~repro.core.fpsps.FlowAwareEngine.prime`, which builds the flat
-  kernel, its spur-certificate CSR, the label arena and its sweep plan
-  (no heuristic table) if they are not built yet.  The workers then share
-  them with the built index copy-on-write (nothing is pickled on the way
-  in) instead of each rebuilding them on every batch.  Results come back
+  kernel, the label arena and its sweep plan (no heuristic table) if
+  they are not built yet.  The workers then share them with the built
+  index copy-on-write (nothing is pickled on the way in) instead of each
+  rebuilding them on every batch.  Results come back
   in input order, and the values are bit-identical to the serial path.
 
 The pool path is *hardened*: every degradation is observable (pass a

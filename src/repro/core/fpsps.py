@@ -264,12 +264,11 @@ class FlowAwareEngine:
     def prime(self) -> None:
         """Build what a query would build lazily on the current oracle.
 
-        That is the flat kernel and its spur-certificate CSR (while every
-        weight is integral), and, while the overlay is empty, a hierarchy
-        index's current :class:`~repro.labeling.arena.LabelArena` and, on
-        a quantized arena, its sweep plan.  No heuristic table is swept.
-        A no-op for scalar engines and oracles the kernel cannot speak
-        for.
+        That is the flat kernel and, while the overlay is empty, a
+        hierarchy index's current
+        :class:`~repro.labeling.arena.LabelArena` and, on a quantized
+        arena, its sweep plan.  No heuristic table is swept.  A no-op for
+        scalar engines and oracles the kernel cannot speak for.
 
         Two callers: the serving layer's consolidation pass, right after
         its index swap, so the first query on the new index does not pay
@@ -280,7 +279,6 @@ class FlowAwareEngine:
         kern = self._flat_kernel()
         if kern is None:
             return
-        kern.prime()
         index = kern.index
         if isinstance(index, HierarchyIndex) and (
             kern.overlay is None or kern.overlay.is_empty

@@ -476,8 +476,6 @@ class OverlayOracle:
         vs = np.asarray(targets, dtype=np.int64)
         if us.size == 0:
             return np.empty(0, dtype=np.float64)
-        index = self.index
-        d0 = index.distance_many(us, vs)
         edges = list(self.overlay.edges.values())
         m = len(edges)
         k = int(us.size)
@@ -488,10 +486,14 @@ class OverlayOracle:
         rep_t = np.repeat(vs, m)
         tile_a = np.tile(a, k)
         tile_b = np.tile(b, k)
-        d_sa = index.distance_many(rep_s, tile_a).reshape(k, m)
-        d_bt = index.distance_many(tile_b, rep_t).reshape(k, m)
-        d_sb = index.distance_many(rep_s, tile_b).reshape(k, m)
-        d_at = index.distance_many(tile_a, rep_t).reshape(k, m)
+        # one index call for all five distance sets: each pair's value does
+        # not depend on the batch it is answered in
+        dist = self.index.distance_many(
+            np.concatenate((us, rep_s, tile_b, rep_s, tile_a)),
+            np.concatenate((vs, tile_a, rep_t, tile_b, rep_t)),
+        )
+        d0 = dist[:k]
+        d_sa, d_bt, d_sb, d_at = dist[k:].reshape(4, k, m)
         via = np.minimum(d_sa + w0 + d_bt, d_sb + w0 + d_at).min(axis=1)
         certified = via > d0 + _CERT_SLACK * (1.0 + np.abs(d0))
         out = np.minimum(d0, self.overlay.hub_term(us, vs))

@@ -346,7 +346,6 @@ def _require_warm_worker(positions: list[int]) -> None:
     arena = index._arena
     if (
         kern is None
-        or kern._csr is None
         or arena is None
         or arena.version != index.label_version
         or arena._plan is None

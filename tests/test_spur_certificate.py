@@ -1,8 +1,8 @@
 """The flat kernel's spur certificate answers exactly what A* would.
 
 A spur search whose cheapest allowed first hop is a strict minimum, and
-whose shortest-path-tree tail has a unique tight next hop everywhere and
-avoids the root, has a unique restricted shortest path; the certificate
+whose tail of tight hops on ``h`` is unique at every vertex and avoids
+the root, has a unique restricted shortest path; the certificate
 returns it without running A*.  These tests pin that claim against
 ``_astar`` on tie-rich integer graphs, and check that the certificate
 stays off (the stream unchanged) whenever a weight is not integral.
@@ -79,8 +79,7 @@ def test_certified_spurs_equal_astar():
             if first < 0:
                 outcomes["tie or dead end"] += 1
                 continue
-            tree = kernel._spur_tree(kernel._h_cache[target])
-            hit = kernel._certify_spur(spur, first, cost, rootset, tree, target)
+            hit = kernel._certify_spur(spur, first, cost, rootset, h, target)
             if hit is None:
                 outcomes["rejected"] += 1
                 continue
