@@ -19,6 +19,10 @@ smallest network.  Per rung it records:
   single table.  The sweep plan is built before the timing, and after
   ``index_mb`` is read.  Commits without ``distances_to_many`` report
   ``null`` for k = 32;
+* the sweep plan: the label entries one sweep column reads
+  (``sweep_cells``) beside the sum of bag sizes (``bag_cells``), and the
+  CPU ms of one ``SweepPlan`` build, the median of ``PLAN_BUILDS``.
+  Commits whose plan has no ``cells`` count their padded level matrices;
 * the label arena's size, sweep plan included (``index.arena().nbytes``),
   read after the table columns.
 
@@ -48,6 +52,7 @@ except ModuleNotFoundError:  # run as a script: benchmarks/ is sys.path[0]
     from _env import env_info
 from repro import obs
 from repro.core.fahl import FAHLIndex
+from repro.labeling.arena import SweepPlan
 from repro.treedec.elimination import eliminate
 from repro.treedec.ordering import degree_flow_importance
 from repro.workloads.datasets import load_dataset
@@ -62,6 +67,8 @@ BETA = 0.5
 #: heuristic tables timed per rung, swept SWEEP_K at a time
 TABLE_TARGETS = 64
 SWEEP_K = 32
+#: sweep plans built per rung for the plan_build_ms median
+PLAN_BUILDS = 9
 
 
 def _cpu(fn):
@@ -99,6 +106,18 @@ def table_ms(index, repeat: int, seed: int) -> tuple[float, float | None]:
     )
 
 
+def plan_stats(index) -> tuple[int, int, float]:
+    """Sweep cells, bag cells and the median CPU ms of one plan build."""
+    arena = index.arena()
+    plan = arena.sweep_plan(index)
+    cells = getattr(plan, "cells", None)
+    if cells is None:  # one padded (width, count) matrix pair per level
+        cells = sum(level[3].size for level in plan.levels)
+    bag_cells = sum(len(keys) for keys in index.bag_keys)
+    build_s = [_cpu(lambda: SweepPlan(arena, index))[0] for _ in range(PLAN_BUILDS)]
+    return cells, bag_cells, statistics.median(build_s) * 1e3
+
+
 def rung(scale: float, repeat: int, seed: int) -> dict:
     frn = load_dataset("NYC", scale=scale, seed=seed).frn
     graph = frn.graph
@@ -119,6 +138,7 @@ def rung(scale: float, repeat: int, seed: int) -> dict:
     dense_k = int(registry.gauge(_DENSE_GAUGE).value())
     index_mb = index.index_size_bytes() / 1e6
     table_k1_ms, table_k32_ms = table_ms(index, repeat, seed)
+    sweep_cells, bag_cells, plan_build_ms = plan_stats(index)
     arena_mb = index.arena().nbytes / 1e6
     return {
         "scale": scale,
@@ -133,6 +153,9 @@ def rung(scale: float, repeat: int, seed: int) -> dict:
         "checksum": index.checksum(),
         "table_k1_ms_per_target": table_k1_ms,
         "table_k32_ms_per_target": table_k32_ms,
+        "sweep_cells": sweep_cells,
+        "bag_cells": bag_cells,
+        "plan_build_ms": plan_build_ms,
         "arena_mb": arena_mb,
     }
 
@@ -160,7 +183,8 @@ def main() -> int:
             f"({row['dense_matrix_mb']:.1f} MB) {row['checksum']} "
             f"table {row['table_k1_ms_per_target']:.2f} ms/target at k=1, "
             f"{row['table_k32_ms_per_target'] or float('nan'):.2f} at k={SWEEP_K}, "
-            f"arena {row['arena_mb']:.1f} MB",
+            f"plan {row['sweep_cells']} cells for {row['bag_cells']} bag cells "
+            f"in {row['plan_build_ms']:.1f} ms, arena {row['arena_mb']:.1f} MB",
             flush=True,
         )
     payload = {
@@ -175,6 +199,7 @@ def main() -> int:
             "timer": "time.process_time",
             "table_targets": TABLE_TARGETS,
             "sweep_k": SWEEP_K,
+            "plan_builds": PLAN_BUILDS,
         },
         "results": results,
     }

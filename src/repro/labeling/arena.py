@@ -27,13 +27,14 @@ graph, so for every ``x`` that is not an ancestor of ``t``
 where every ``y`` is a shallower ancestor of ``x``, and for an ancestor
 ``a`` of ``t`` the value is ``L_t[depth(a)]`` directly.
 :meth:`LabelArena.distances_to_many` evaluates this top-down for ``k``
-targets at once, one tree level per numpy reduction over an ``(n, k)``
-buffer, on a per-level :class:`SweepPlan` built lazily on the first call
-(or ahead of it by :meth:`LabelArena.sweep_plan`, which is how the query
-engine warms an index before forking batch workers): O(k · sum of bag
-sizes) reads instead of one LCA position row per vertex and target.
-Most of a level's cost is the fixed overhead of its numpy calls, which
-the ``k`` targets share.
+targets at once, one tree level per segmented numpy reduction over an
+``(n, k)`` buffer, on a per-level :class:`SweepPlan` built lazily on the
+first call (or ahead of it by :meth:`LabelArena.sweep_plan`, which is how
+the query engine warms an index before forking batch workers).  The plan
+stores each level's bags ragged, back to back, so a sweep reads exactly
+k · (sum of bag sizes) label entries, instead of one LCA position row per
+vertex and target.  A level's three numpy calls (a take, an add and a
+``minimum.reduceat``) have a fixed overhead that the ``k`` targets share.
 
 The arena is a *snapshot*: it records the index's label version at build
 time, and :meth:`HierarchyIndex.arena` rebuilds it whenever maintenance
@@ -92,19 +93,22 @@ class SweepPlan:
 
     Vertices are renumbered by depth (:attr:`rank`), so tree level ``d``
     is the contiguous slice ``levels[d - 1][0:2]`` of the sweep's distance
-    buffer.  Each level stores two ``(width, count)``
-    matrices, one column per vertex of the level: the depth-sorted ids of
-    the vertex's bag ancestors and its int64 label entries at those
-    ancestors' depths, ``L_x[depth(y)]``.  A column shorter than the
-    level's widest bag is padded by repeating its last entry, as the padded
-    position matrix does; a duplicate candidate never changes a minimum.
+    buffer.  Each level stores its vertices' bags back to back, ragged,
+    with no padding: ``bag`` holds the slots of each vertex's bag
+    ancestors ``y`` and ``lab`` its int64 label entries at their depths,
+    ``L_x[depth(y)]``, and ``seg[i]`` is where the level's ``i``-th vertex
+    begins in both.  One segmented minimum per level
+    (``np.minimum.reduceat`` over ``seg``) then reads exactly the sum of
+    the level's bag sizes.  Every non-root vertex's bag holds at least its
+    parent, so no segment is empty.
 
     Attributes
     ----------
     rank:
         ``rank[v]`` is the depth-sorted slot of vertex ``v``.
     levels:
-        ``levels[d - 1] = (lo, hi, bag, lab)`` for depths ``1..height``.
+        ``levels[d - 1] = (lo, hi, bag, lab, seg)`` for depths
+        ``1..height``.
     """
 
     __slots__ = ("rank", "levels")
@@ -115,28 +119,36 @@ class SweepPlan:
         order = np.argsort(depth, kind="stable")
         self.rank = np.empty(n, dtype=np.int64)
         self.rank[order] = np.arange(n, dtype=np.int64)
-        bag_offsets, bag_flat = _pack(index.bag_keys, np.int64)
-        counts = bag_offsets[1:] - bag_offsets[:-1]
-        # label entry of every bag member at its depth, flat like bag_flat
-        owner_label = np.repeat(arena.label_offsets[:-1], counts)
-        bag_lab = arena.label_values[owner_label + depth[bag_flat]]
-        bag_slot = self.rank[bag_flat]
+        # a position array is the depths of the vertex's bag, ascending,
+        # then its own depth: the bag is all but its last entry
+        first = arena.pos_offsets[order]
+        size = arena.pos_offsets[order + 1] - first - 1
+        edge = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(size, out=edge[1:])
+        cell = np.arange(int(edge[-1]), dtype=np.int64)
+        at = arena.pos_values[cell + np.repeat(first - edge[:-1], size)]
+        # a label and an ancestor path both hold depth + 1 entries, so one
+        # offset reaches the entry and the ancestor at a bag member's depth
+        at += np.repeat(arena.label_offsets[order], size)
+        bag = self.rank[arena.anc_values[at]]
+        lab = arena.label_values[at]
         bounds = np.searchsorted(depth[order], np.arange(int(depth.max()) + 2))
-        self.levels: list[tuple[int, int, np.ndarray, np.ndarray]] = []
-        for d in range(1, len(bounds) - 1):
-            lo, hi = int(bounds[d]), int(bounds[d + 1])
-            verts = order[lo:hi]
-            # every non-root vertex's bag holds at least its parent
-            c = counts[verts]
-            col = np.arange(int(c.max()), dtype=np.int64)
-            idx = bag_offsets[verts] + np.minimum(col[:, None], c - 1)
-            self.levels.append((lo, hi, bag_slot[idx], bag_lab[idx]))
+        self.levels: list[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]] = []
+        for lo, hi in zip(bounds[1:-1].tolist(), bounds[2:].tolist()):
+            a, b = int(edge[lo]), int(edge[hi])
+            self.levels.append((lo, hi, bag[a:b], lab[a:b], edge[lo:hi] - a))
+
+    @property
+    def cells(self) -> int:
+        """Bag cells over all levels: the entries one sweep column reads."""
+        return sum(len(lab) for _, _, _, lab, _ in self.levels)
 
     @property
     def nbytes(self) -> int:
         """Bytes owned by the plan."""
         return self.rank.nbytes + sum(
-            bag.nbytes + lab.nbytes for _, _, bag, lab in self.levels
+            bag.nbytes + lab.nbytes + seg.nbytes
+            for _, _, bag, lab, seg in self.levels
         )
 
 
@@ -257,21 +269,24 @@ class LabelArena:
         :meth:`sweep_plan`.  Returns a ``(k, n)`` float64 block
         whose row ``j`` is the table of ``targets[j]``, bit-identical to
         ``[index.distance(v, targets[j]) for v]``, and the label entries
-        read: ``k`` times the padded plan cells of the levels visited plus
-        every target's label.
+        read: ``k`` times the bag cells of the levels visited plus every
+        target's label.
 
         One top-down pass serves all ``k`` targets, one column each of an
         ``(n, k)`` int64 buffer (a 1-D buffer when ``k == 1``).  Each level
         ``d = 1..height`` takes ``min over y in bag(x) of L_x[depth(y)] +
-        D[y]`` for all its vertices and all columns at once; the take, the
-        add and the reduction never mix columns.  The recurrence holds for
-        every ``x`` that is not an ancestor of the column's target ``t``,
-        since then ``bag(x)`` separates ``subtree(x)``, which holds no
-        ``t``, from ``t``, and every ``y`` is shallower, so ``D[y]`` is
-        final.  Right after the level, each target at least ``d`` deep has
-        its depth-``d`` ancestor ``a`` restored to ``L_t[d] = dis(a, t)``
-        in its own column, before any deeper level reads it; a target
-        shallower than ``d`` has no ancestor on the level.  Targets are
+        D[y]`` for all its vertices and all columns at once: one take of
+        the level's ragged bag cells, one add of their label entries and
+        one ``minimum.reduceat`` over the vertices' segments, written
+        straight into the level's rows; none of them mixes columns.  The
+        recurrence holds for every ``x`` that is not an ancestor of the
+        column's target ``t``, since then ``bag(x)`` separates
+        ``subtree(x)``, which holds no ``t``, from ``t``, and every ``y``
+        is shallower, so ``D[y]`` is final.  Right after the level, each
+        target at least ``d`` deep has its depth-``d`` ancestor ``a``
+        restored to ``L_t[d] = dis(a, t)`` in its own column, before any
+        deeper level reads it; a target shallower than ``d`` has no
+        ancestor on the level.  Targets are
         sorted deepest first, so the ones still deep enough are a prefix
         of the columns and the restore is one assignment.  A level whose
         one vertex is an ancestor of every target is not reduced at all.
@@ -315,13 +330,13 @@ class LabelArena:
             flat = dist.reshape(-1)
         flat[slots[0]] = lt[0]  # the root, an ancestor of every target
         cells = 0
-        reduce_min = np.minimum.reduce
-        for d, (lo, hi, bag, lab) in enumerate(plan.levels, start=1):
+        reduce_min = np.minimum.reduceat
+        for d, (lo, hi, bag, lab, seg) in enumerate(plan.levels, start=1):
             if d > shallowest or hi - lo > 1:
                 cand = dist.take(bag, axis=0)
-                cand += lab if one else lab[:, :, None]
-                reduce_min(cand, axis=0, out=dist[lo:hi])
-                cells += lab.size
+                cand += lab if one else lab[:, None]
+                reduce_min(cand, seg, axis=0, out=dist[lo:hi])
+                cells += len(lab)
             if d <= deepest:
                 flat[slots[d]] = lt[d]
         read += k * cells

@@ -132,7 +132,7 @@ class UpdateOutcome:
     deferred: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServingResult:
     """An FSPQ answer plus how it was produced (``"index"`` | ``"fallback"``)."""
 
@@ -141,7 +141,7 @@ class ServingResult:
     source: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServingDistance:
     """A distance answer plus how it was produced."""
 

@@ -23,6 +23,40 @@ def assert_distance_many_exact(index, graph, rng, pairs=60):
         assert d == index.distance(u, v), (u, v)
 
 
+def assert_plan_layout(index) -> None:
+    """The sweep plan holds each level's bags ragged, tiling its slots.
+
+    Levels tile slots ``1..n`` in depth order; each level's segments tile
+    its cells in slot order, one per vertex, and hold exactly the vertex's
+    bag (ancestor slots and label entries at their depths).  So the plan's
+    cells are the sum of bag sizes, never more than one matrix per level
+    padded to its widest bag would read.
+    """
+    arena = index.arena()
+    plan = arena.sweep_plan(index)
+    depth = index.tree.depth
+    n = index.graph.num_vertices
+    vertex = np.argsort(plan.rank)  # the vertex in each slot
+    assert np.array_equal(np.sort(depth[vertex]), depth[vertex])
+    padded = 0
+    expect_lo = 1
+    for d, (lo, hi, bag, lab, seg) in enumerate(plan.levels, start=1):
+        assert lo == expect_lo and lo < hi
+        expect_lo = hi
+        assert np.all(depth[vertex[lo:hi]] == d)
+        assert len(seg) == hi - lo and len(bag) == len(lab)
+        ends = np.append(seg[1:], len(lab))
+        assert seg[0] == 0 and np.all(ends > seg)
+        for slot, a, b in zip(range(lo, hi), seg.tolist(), ends.tolist()):
+            v = int(vertex[slot])
+            members = vertex[bag[a:b]]
+            assert sorted(members.tolist()) == sorted(index.bag_keys[v].tolist())
+            assert lab[a:b].tolist() == index.labels[v][depth[members]].tolist()
+        padded += (hi - lo) * max(len(index.bag_keys[v]) for v in vertex[lo:hi])
+    assert expect_lo == n
+    assert plan.cells == sum(len(keys) for keys in index.bag_keys) <= padded
+
+
 class TestArenaLayout:
     def test_slices_match_index_lists(self, small_grid):
         index = build_h2h(small_grid)
@@ -232,6 +266,16 @@ class TestSweep:
         index.refresh_labels()
         assert index.arena()._plan is None
 
+    def test_plan_layout(self, small_grid):
+        index = build_h2h(small_grid)
+        assert_plan_layout(index)
+        # some level mixes bag sizes, so padding it would cost cells
+        sizes = [
+            np.diff(np.append(seg, len(lab)))
+            for *_, lab, seg in index.arena().sweep_plan(index).levels
+        ]
+        assert any(s.min() < s.max() for s in sizes)
+
     def test_past_dense_pad_budget(self, small_grid, monkeypatch):
         """Without the dense position pad the arena still quantises and sweeps."""
         monkeypatch.setattr(arena_module, "_DENSE_POS_LIMIT", 1)
@@ -247,20 +291,12 @@ class TestSweep:
 
     @staticmethod
     def expected_reads(index, target):
-        """Padded plan cells of the levels the sweep visits, plus L_t."""
-        depth = index.tree.depth
-        dt = int(depth[target])
-        reads = dt + 1
-        for d in range(1, int(depth.max()) + 1):
-            level = np.flatnonzero(depth == d)
-            if d <= dt and len(level) == 1:
-                continue  # the target's ancestor alone: skipped
-            reads += len(level) * max(len(index.bag_keys[v]) for v in level)
-        return reads
+        """Bag cells of the levels the sweep visits, plus L_t."""
+        return TestSweep.expected_block_reads(index, [target])
 
     @staticmethod
     def expected_block_reads(index, targets):
-        """k times the padded plan cells of the levels visited, plus L_t."""
+        """k times the bag cells of the levels visited, plus L_t."""
         depth = index.tree.depth
         shallowest = min(int(depth[t]) for t in targets)
         reads = sum(int(depth[t]) + 1 for t in targets)
@@ -268,7 +304,7 @@ class TestSweep:
             level = np.flatnonzero(depth == d)
             if d <= shallowest and len(level) == 1:
                 continue  # an ancestor of every target: skipped
-            cells = len(level) * max(len(index.bag_keys[v]) for v in level)
+            cells = sum(len(index.bag_keys[v]) for v in level)
             reads += len(targets) * cells
         return reads
 
@@ -298,7 +334,7 @@ class TestSweep:
         try:
             counter = registry.counter("repro_label_gather_entries_total")
             index.distances_to(0)
-            assert counter.total() == 130
+            assert counter.total() == 97
             for t in range(small_grid.num_vertices):
                 before = counter.total()
                 index.distances_to(t)

@@ -7,8 +7,9 @@ the batched LCA + pair gather.  Either way every entry must equal the
 scalar ``distance`` loop bit for bit and match Dijkstra, and every row of
 a many-target block must equal its target's ``distances_to`` bit for bit
 — for any target multiset (duplicates, the tree root, one target, mixed
-depths), and right after ILU, ISU and GSU, whose version bump must drop
-the plan built before them.
+depths, a vertex with its ancestors), and right after ILU, ISU and GSU,
+whose version bump must drop the plan built before them.  The plan itself
+must keep every level's bags ragged: its cells are the sum of bag sizes.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.errors import QueryError
 from repro.graph.road_network import RoadNetwork
 from repro.labeling.h2h import build_h2h
 from tests.strategies import connected_graphs
+from tests.test_arena import assert_plan_layout
 
 
 def assert_tables_exact(index, graph) -> None:
@@ -74,6 +76,25 @@ def test_many_target_sweep_equals_single_sweeps(graph, data):
     assert_blocks_exact(index, graph, targets[:1])
 
 
+@given(graph=connected_graphs(max_vertices=24), data=st.data())
+def test_ancestor_targets_equal_scalar_loop(graph, data):
+    """Targets on one root path: each restores the others' columns."""
+    index = build_h2h(graph)
+    n = graph.num_vertices
+    assert_plan_layout(index)
+    v = data.draw(st.integers(0, n - 1))
+    chain = index.anc[v].tolist()
+    targets = data.draw(st.permutations(chain + data.draw(
+        st.lists(st.sampled_from(chain), max_size=3)
+    )))
+    block = index.distances_to_many(targets)
+    for row, t in zip(block, targets):
+        scalar = np.asarray([index.distance(u, t) for u in range(n)])
+        assert np.array_equal(row.view(np.int64), scalar.view(np.int64)), t
+        single = index.distances_to(t)
+        assert np.array_equal(single.view(np.int64), scalar.view(np.int64)), t
+
+
 @given(graph=connected_graphs(min_vertices=4, max_vertices=14), data=st.data())
 def test_sweep_exact_after_ilu(graph, data):
     index = build_h2h(graph)
@@ -106,6 +127,7 @@ def test_sweep_exact_after_structure_updates(graph, method, data):
         new_flow = float(data.draw(st.integers(0, 300)))
         apply_flow_update(index, vertex, new_flow, method=method)
     assert_tables_exact(index, graph)
+    assert_plan_layout(index)
     assert_blocks_exact(index, graph, target_multisets(data, index, n))
 
 
