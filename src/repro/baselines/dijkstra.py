@@ -18,6 +18,7 @@ __all__ = [
     "dijkstra_distances",
     "dijkstra_distance",
     "dijkstra_path",
+    "repair_rows",
     "DijkstraOracle",
 ]
 
@@ -58,6 +59,72 @@ def dijkstra_distances(
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
     return dist
+
+
+#: relative slack under which :func:`repair_rows` counts an edge as tight.
+#: Rows read off labels may differ from a Dijkstra's float sums in the last
+#: bits on non-integral weights, so a near-tie reruns its row (slower, never
+#: wrong); on integer weights only exact ties fall within it.
+_TIGHT_SLACK = 1e-9
+
+
+def repair_rows(
+    graph: RoadNetwork,
+    rows,
+    sources,
+    u: int,
+    v: int,
+    old_weight: float,
+    new_weight: float,
+) -> None:
+    """Keep single-source distance rows exact after one edge weight change.
+
+    ``rows[i]`` holds the distances from ``sources[i]`` over ``graph`` as
+    they were before ``(u, v)`` went from ``old_weight`` to
+    ``new_weight``; ``graph`` already carries the new weight.  ``rows`` is
+    a 2-D array or any iterable of 1-D arrays, aligned with ``sources``;
+    each row is repaired in place:
+
+    * after a decrease, every path that got shorter uses the edge, so a
+      Dijkstra relaxation seeded at whichever endpoint improves lowers
+      exactly the entries that drop;
+    * after an increase, a row can only change if its shortest-path tree
+      may route through the edge, i.e. where the edge was tight
+      (``|row[u] - row[v]| == old_weight``); only those rows rerun a full
+      Dijkstra (*Stable Tree Labelling*'s affected-label repair, PAPERS.md).
+    """
+    if new_weight < old_weight:
+        for row in rows:
+            _relax_decrease(graph, row, u, v, new_weight)
+        return
+    for row, source in zip(rows, sources):
+        du, dv = float(row[u]), float(row[v])
+        tol = _TIGHT_SLACK * (1.0 + max(du, dv))
+        if abs(du - dv) >= old_weight - tol:
+            row[:] = dijkstra_distances(graph, int(source))
+
+
+def _relax_decrease(
+    graph: RoadNetwork, row: np.ndarray, u: int, v: int, w: float
+) -> None:
+    """Seeded Dijkstra relaxation of one row after ``(u, v)`` fell to ``w``."""
+    heap: list[tuple[float, int]] = []
+    du, dv = float(row[u]), float(row[v])
+    if du + w < dv:
+        row[v] = du + w
+        heap.append((du + w, v))
+    if dv + w < du:
+        row[u] = dv + w
+        heap.append((dv + w, u))
+    while heap:
+        d, a = heapq.heappop(heap)
+        if d > row[a]:
+            continue
+        for b, wab in graph.neighbor_items(a):
+            nd = d + wab
+            if nd < row[b]:
+                row[b] = nd
+                heapq.heappush(heap, (nd, b))
 
 
 def dijkstra_distance(graph: RoadNetwork, source: int, target: int) -> float:

@@ -11,8 +11,10 @@ a small :class:`DeltaOverlay`:
   immediately and records the edge together with the *stable* weight the
   labels still assume.  Both endpoints become **overlay hubs**, each
   carrying an exact one-to-all distance vector on the *current* graph
-  (a fresh Dijkstra for a new hub; incremental decrease-relaxation /
-  affected-row recomputation for subsequent changes).
+  (a fresh Dijkstra for a new hub; for subsequent changes the row repair
+  :func:`~repro.baselines.dijkstra.repair_rows`, which the sharded
+  gateway's boundary tables share: a seeded relaxation after a decrease,
+  a rerun of the rows the edge was tight in after an increase).
 
 * :class:`OverlayOracle` answers distance queries exactly from
   ``stable ⊕ overlay``.  Let ``D`` be the overlay edge set, ``d0`` the
@@ -55,7 +57,7 @@ from typing import Callable, Iterator, Mapping
 import numpy as np
 
 from repro import obs
-from repro.baselines.dijkstra import dijkstra_distances
+from repro.baselines.dijkstra import dijkstra_distances, repair_rows
 from repro.core.maintenance import (
     _checkpoint,
     apply_flow_update,
@@ -194,7 +196,10 @@ class DeltaOverlay:
                 entry.current = new_weight
             # repair rows that existed before this change, then add new hubs
             # (computed on the already-updated graph, hence exact as-is)
-            self._repair_rows(lo, hi, old_weight, new_weight)
+            repair_rows(
+                graph, self._hub_rows.values(), self._hub_rows.keys(),
+                lo, hi, old_weight, new_weight,
+            )
             self._ensure_hub(lo)
             self._ensure_hub(hi)
             self._matrix = None
@@ -217,40 +222,6 @@ class DeltaOverlay:
         if x not in self._hub_rows:
             self._hub_rows[x] = dijkstra_distances(self.graph, x)
             self._hub_ids.append(x)
-
-    def _repair_rows(self, u: int, v: int, old_w: float, new_w: float) -> None:
-        """Keep every hub vector exact after ``(u, v)``: ``old_w -> new_w``."""
-        if new_w < old_w:
-            for row in self._hub_rows.values():
-                self._relax_decrease(row, u, v, new_w)
-            return
-        # increase: a hub's vector can only change if its shortest-path tree
-        # could route through the edge, i.e. the old tightness held
-        for x in list(self._hub_rows):
-            row = self._hub_rows[x]
-            if row[u] + old_w == row[v] or row[v] + old_w == row[u]:
-                self._hub_rows[x] = dijkstra_distances(self.graph, x)
-
-    def _relax_decrease(self, row: np.ndarray, u: int, v: int, w: float) -> None:
-        """Seeded Dijkstra relaxation after a weight decrease (exact)."""
-        heap: list[tuple[float, int]] = []
-        du, dv = float(row[u]), float(row[v])
-        if du + w < dv:
-            row[v] = du + w
-            heap.append((du + w, v))
-        if dv + w < du:
-            row[u] = dv + w
-            heap.append((dv + w, u))
-        graph = self.graph
-        while heap:
-            d, a = heapq.heappop(heap)
-            if d > row[a]:
-                continue
-            for b, wab in graph.neighbor_items(a):
-                nd = d + wab
-                if nd < row[b]:
-                    row[b] = nd
-                    heapq.heappush(heap, (nd, b))
 
     # ------------------------------------------------------------------
     # query terms

@@ -334,9 +334,9 @@ class HierarchyIndex:
         """
         if not 0 <= target < self.graph.num_vertices:
             raise QueryError(f"distances_to query on unknown vertex {target}")
-        return self._tables(np.array([target], dtype=np.int64))[0]
+        return self._tables(np.array([target], dtype=np.int64), self.arena())[0]
 
-    def distances_to_many(self, targets) -> np.ndarray:
+    def distances_to_many(self, targets, cache: bool = True) -> np.ndarray:
         """The ``distances_to`` tables of several targets, as one block.
 
         Returns a ``(k, n)`` float64 array whose row ``j`` is bit-identical
@@ -352,6 +352,11 @@ class HierarchyIndex:
         :meth:`LabelArena.pair_distances` over ``arange(n)`` per target.
         Either way the sweep's sums and minima are exact integers and the
         gather is exactly :meth:`distance_many`.
+
+        With ``cache=False`` a one-off sweep leaves no arena behind: it
+        reads the cached arena if that is current and otherwise sweeps a
+        transient one, so :meth:`index_size_bytes` reads the same before
+        and after (the sharded gateway's boundary rows at construction).
         """
         ts = np.asarray(targets)
         n = self.graph.num_vertices
@@ -361,14 +366,19 @@ class HierarchyIndex:
         bad = ts[(ts < 0) | (ts >= n)]
         if bad.size:
             raise QueryError(f"distances_to query on unknown vertex {bad[0]}")
-        return self._tables(ts)
+        if cache:
+            arena = self.arena()
+        elif self._arena is not None and self._arena.version == self._version:
+            arena = self._arena
+        else:
+            arena = LabelArena(self)
+        return self._tables(ts, arena)
 
-    def _tables(self, ts: np.ndarray) -> np.ndarray:
+    def _tables(self, ts: np.ndarray, arena: LabelArena) -> np.ndarray:
         """:meth:`distances_to_many` on validated int64 targets."""
         n, k = self.graph.num_vertices, len(ts)
         if not k:
             return np.empty((0, n), dtype=np.float64)
-        arena = self.arena()
         if arena.quantized:
             block, read = arena.distances_to_many(ts, self)
         else:

@@ -56,14 +56,26 @@ O(|B|^3) vectorised numpy work instead of |B| pure-Python Dijkstras over
 the full graph.
 
 The tables are plain numpy arrays, so the min-plus combines above are
-single vectorised expressions over views of the global table.  After
-weight maintenance, call ``rebuild_shard(k)`` for every shard whose
-in-shard weights changed, *then* ``rebuild_global()``: the closure reads
-the shard-local tables, so they must be current first.  A cut-edge update
-changes no in-shard distance and needs only ``rebuild_global()``.  Every
-accepted weight update rebuilds the global table, since a weight change
-anywhere can reroute boundary-to-boundary paths; flow updates never touch
-distances.
+single vectorised expressions over views of the global table.
+
+Shard ``k``'s rows ``d_k(b, ·)`` are read off the labels of the shard index
+the gateway has just built over the same subgraph: one
+:meth:`~repro.labeling.hierarchy.HierarchyIndex.distances_to_many` sweep
+toward ``B_k`` (the subgraph is undirected, so ``d_k(·, b) = d_k(b, ·)``),
+which equals a Dijkstra from every ``b`` bit for bit on integer weights.
+After an in-shard weight change, :meth:`BoundaryIndex.repair_shard` repairs
+only shard ``k``'s rows in place with the row repair the delta overlay uses
+for its hub rows (:func:`~repro.baselines.dijkstra.repair_rows`): after a
+decrease, one relaxation seeded at the edge; after an increase, a Dijkstra
+rerun of only the rows in which the edge was tight.  Then
+:meth:`BoundaryIndex.rebuild_global` runs only if the shard's
+``|B_k| x |B_k|`` block changed: the closure reads nothing else of the
+shard, so the same inputs give the same table.  A cut-edge update changes
+no in-shard distance and always needs ``rebuild_global()``.
+:meth:`BoundaryIndex.rebuild_shard` recomputes a shard's rows from scratch
+with |B_k| Dijkstras, for a shard restarted from its checkpoint (whose
+labels may lag its overlay), *then* ``rebuild_global()``.  Flow updates
+never touch distances.
 """
 
 from __future__ import annotations
@@ -71,8 +83,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.baselines.dijkstra import dijkstra_distances
+from repro.baselines.dijkstra import dijkstra_distances, repair_rows
 from repro.graph.road_network import RoadNetwork
+from repro.labeling.hierarchy import HierarchyIndex
 from repro.scale.partitioner import ShardPlan
 
 __all__ = ["BoundaryIndex"]
@@ -91,6 +104,10 @@ class BoundaryIndex:
     subgraphs:
         Per shard, the induced subgraph in *local* vertex ids (the same
         objects the shard engines serve).
+    indexes:
+        Per shard, a label index over that subgraph at its current
+        weights (the shard engine's, just built), to read the shard's
+        rows off.
     """
 
     def __init__(
@@ -98,6 +115,7 @@ class BoundaryIndex:
         graph: RoadNetwork,
         plan: ShardPlan,
         subgraphs: list[RoadNetwork],
+        indexes: list[HierarchyIndex],
     ) -> None:
         self._graph = graph
         self._plan = plan
@@ -127,19 +145,28 @@ class BoundaryIndex:
                 np.searchsorted(members, np.asarray(shard_boundary, dtype=np.int64))
             )
         self._local: list[np.ndarray] = [
-            self._compute_local(k) for k in range(plan.num_shards)
+            self._compute_local(k, indexes[k]) for k in range(plan.num_shards)
         ]
         self._table = self._compute_global()
 
     # ------------------------------------------------------------------
     # table construction / maintenance
     # ------------------------------------------------------------------
-    def _compute_local(self, k: int) -> np.ndarray:
-        """``(|B_k|, n_k)`` distances from each boundary vertex, in-shard."""
+    def _compute_local(
+        self, k: int, index: HierarchyIndex | None = None
+    ) -> np.ndarray:
+        """``(|B_k|, n_k)`` distances from each boundary vertex, in-shard.
+
+        Read off ``index`` (labels over shard ``k``'s current weights) in
+        one sweep that leaves no arena cached, or, without one, by a
+        Dijkstra from each boundary vertex.
+        """
         subgraph = self._subgraphs[k]
         local_ids = self._local_boundary[k]
         if len(local_ids) == 0:
             return np.empty((0, subgraph.num_vertices), dtype=np.float64)
+        if index is not None:
+            return index.distances_to_many(local_ids, cache=False)
         return np.vstack(
             [dijkstra_distances(subgraph, int(b)) for b in local_ids]
         )
@@ -171,15 +198,38 @@ class BoundaryIndex:
             ).inc(scope=scope)
 
     def rebuild_shard(self, k: int) -> None:
-        """Recompute shard ``k``'s local boundary labels (weights changed)."""
+        """Recompute shard ``k``'s rows with a Dijkstra per boundary vertex.
+
+        For a shard whose weights were replaced wholesale (a recovered
+        shard); a single in-shard weight change takes :meth:`repair_shard`.
+        """
         self._local[k] = self._compute_local(k)
         self._count_rebuild("shard")
+
+    def repair_shard(self, k: int, u: int, v: int, old_weight: float) -> bool:
+        """Repair shard ``k``'s rows after local edge ``(u, v)`` changed.
+
+        Shard ``k``'s subgraph already carries the new weight;
+        ``old_weight`` is the one the rows were exact for.  Returns whether
+        the shard's boundary-to-boundary block changed, i.e. whether
+        :meth:`rebuild_global` must run.
+        """
+        subgraph = self._subgraphs[k]
+        new_weight = subgraph.weight(u, v)
+        local = self._local[k]
+        if new_weight == old_weight or len(local) == 0:
+            return False
+        columns = self._local_boundary[k]
+        block = local[:, columns]
+        repair_rows(subgraph, local, columns, u, v, old_weight, new_weight)
+        self._count_rebuild("repair")
+        return not np.array_equal(block, local[:, columns])
 
     def rebuild_global(self) -> None:
         """Recompute the boundary-to-boundary table.
 
-        Reads the shard-local tables and the live cut-edge weights, so call
-        :meth:`rebuild_shard` first for every shard whose weights changed.
+        Reads the shard-local tables and the live cut-edge weights, so
+        repair or rebuild every shard whose weights changed first.
         """
         self._table = self._compute_global()
         self._count_rebuild("global")

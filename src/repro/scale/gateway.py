@@ -226,7 +226,11 @@ class ShardedGateway:
             self._shard_frns.append(shard_frn)
             self.shards.append(engine)
 
-        self.boundary = BoundaryIndex(frn.graph, self.plan, self._subgraphs)
+        # each shard's rows come off the labels just built over its subgraph
+        self.boundary = BoundaryIndex(
+            frn.graph, self.plan, self._subgraphs,
+            [engine.index for engine in self.shards],
+        )
 
         # -- cross-shard and degraded-fallback engines ------------------
         self._cross = FlowAwareEngine(
@@ -836,14 +840,22 @@ class ShardedGateway:
                 update.value,
                 update.timestamp,
             )
+            subgraph = self._subgraphs[shard]
+            old_weight = (
+                subgraph.weight(local.u, local.v)
+                if subgraph.has_edge(local.u, local.v) else None
+            )
             outcome = self.shards[shard].submit(local)
             if outcome.applied:
                 # mirror onto the full graph so cross-shard candidate
                 # generation and degraded Dijkstra see the new weight,
-                # then refresh every distance structure derived from it.
+                # then refresh every distance structure derived from it:
+                # the closure only when the shard's boundary block moved
                 self.frn.graph.set_weight(update.u, update.v, update.value)
-                self.boundary.rebuild_shard(shard)
-                self.boundary.rebuild_global()
+                if self.boundary.repair_shard(
+                    shard, local.u, local.v, old_weight
+                ):
+                    self.boundary.rebuild_global()
                 self._weight_epoch += 1
                 self._cross.invalidate()
                 self._fallback.invalidate()

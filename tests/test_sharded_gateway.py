@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import FSPQuery, ShardedGateway, as_distance, build_fahl, obs
@@ -13,10 +14,11 @@ from repro.core.fpsps import FlowAwareEngine
 from repro.flow.synthetic import generate_flow_series
 from repro.graph.frn import FlowAwareRoadNetwork
 from repro.graph.generators import grid_network
-from repro.scale import partition_network
+from repro.scale import BoundaryIndex, partition_network
+from repro.scale import gateway as gateway_module
 from repro.scale.cache import ResultCache
 from repro.serving import FlowUpdate, WeightUpdate
-from repro.baselines.dijkstra import dijkstra_distance
+from repro.baselines.dijkstra import dijkstra_distance, dijkstra_distances
 
 from .boundary_oracle import assert_boundary_exact
 from .strategies import connected_graphs
@@ -53,6 +55,17 @@ def _intra_edge(gateway, shard):
         (u, v, w) for u, v, w in gateway.frn.graph.edges()
         if plan.shard(u) == shard and plan.shard(v) == shard
     )
+
+
+def _assert_rows_are_dijkstra(gateway):
+    """Every shard's boundary rows equal a Dijkstra from each boundary vertex."""
+    boundary = gateway.boundary
+    for k, subgraph in enumerate(gateway._subgraphs):
+        sources = boundary._local_boundary[k]
+        rows = boundary._local[k]
+        assert rows.shape == (len(sources), subgraph.num_vertices)
+        for row, b in zip(rows, sources):
+            assert np.array_equal(row, dijkstra_distances(subgraph, int(b))), (k, b)
 
 
 def _degrade(gateway, shard):
@@ -258,6 +271,9 @@ class TestBoundaryTable:
     """The closure-built global table equals the full-graph Dijkstra one."""
 
     def test_exact_after_construction(self, gateway):
+        # rows read off the labels: integer weights, so label sums and
+        # Dijkstra sums are exact
+        _assert_rows_are_dijkstra(gateway)
         assert_boundary_exact(gateway)
 
     def test_exact_after_intra_shard_weight_update(self, gateway):
@@ -299,6 +315,72 @@ class TestBoundaryTable:
             )
             assert outcome.applied
             assert_boundary_exact(gateway, pairs=12)
+
+    @given(data=st.data())
+    def test_rows_stay_dijkstra_exact_under_interleaved_updates(self, data):
+        graph = data.draw(connected_graphs(min_vertices=8, max_vertices=24))
+        gateway = ShardedGateway(
+            _frn(graph), num_shards=data.draw(st.integers(2, 4)), max_retries=0
+        )
+        _assert_rows_are_dijkstra(gateway)
+        plan = gateway.plan
+        initial = {(u, v): w for u, v, w in graph.edges()}
+        intra = sorted(
+            key for key in initial if plan.shard(key[0]) == plan.shard(key[1])
+        )
+        cut = sorted((min(u, v), max(u, v)) for u, v, _ in plan.cut_edges)
+        assume(intra)
+        last = None
+        for step in range(data.draw(st.integers(1, 8))):
+            # the same intra edge again, a fresh intra edge, or a cut edge
+            where = data.draw(st.sampled_from(["again", "intra", "cut"]))
+            if where == "cut" and cut:
+                u, v = data.draw(st.sampled_from(cut))
+            elif where == "again" and last is not None:
+                u, v = last
+            else:
+                u, v = last = data.draw(st.sampled_from(intra))
+            w = int(graph.weight(u, v))
+            how = data.draw(st.sampled_from(["down", "up", "original"]))
+            if how == "down":
+                value = data.draw(st.integers(1, max(1, w - 1)))
+            elif how == "up":
+                value = w + data.draw(st.integers(1, 30))
+            else:
+                value = int(initial[(u, v)])
+            outcome = gateway.submit(
+                WeightUpdate(u, v, float(value), timestamp=float(step))
+            )
+            assert outcome.applied
+            assert graph.weight(u, v) == value
+            _assert_rows_are_dijkstra(gateway)
+            assert_boundary_exact(gateway, pairs=8)
+
+    def test_construction_leaves_no_arena_cached(self, grid_frn, monkeypatch):
+        # index_size_bytes counts a cached arena; the row sweep must not
+        # leave one behind on any shard index
+        sizes = []
+
+        def recording(graph, plan, subgraphs, indexes):
+            before = [index.index_size_bytes() for index in indexes]
+            boundary = BoundaryIndex(graph, plan, subgraphs, indexes)
+            sizes.append((before, [index.index_size_bytes() for index in indexes]))
+            return boundary
+
+        monkeypatch.setattr(gateway_module, "BoundaryIndex", recording)
+        gateway = ShardedGateway(grid_frn, num_shards=4, max_retries=0)
+        [(before, after)] = sizes
+        assert after == before
+        # a shard that has served a query holds a current arena; the sweep
+        # reads it and adds nothing either
+        shard = gateway.shards[0]
+        shard.query(FSPQuery(0, 1, 0))
+        warm = [engine.index.index_size_bytes() for engine in gateway.shards]
+        recording(
+            gateway.frn.graph, gateway.plan, gateway._subgraphs,
+            [engine.index for engine in gateway.shards],
+        )
+        assert sizes[-1] == (warm, warm)
 
 
 class TestDegradedIsolation:
