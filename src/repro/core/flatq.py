@@ -71,12 +71,15 @@ raw streams under pull budgets and after early closes), and
 ``tests/test_spur_certificate.py`` checks every certified spur against
 A* directly.
 
-The kernel snapshots ``index.label_version`` at build time; the engine
-rebuilds it whenever the version moves, so maintenance transparently
-invalidates the cached adjacency and heuristic tables.  Any oracle
-with ``distances_to``, ``label_version`` and the engine's ``graph`` can
-drive it; for one whose scalar ``heuristic`` factory reads the same
-tables (the sharded gateway's) the streams agree by construction.
+The kernel snapshots the oracle's ``label_version`` and the graph's
+``mutation_version`` at build time, and reads every heuristic table
+through the oracle's ``distances_to`` / ``distances_to_many``.  The
+engine rebuilds the kernel whenever either version moves, so
+maintenance and every live weight change transparently invalidate the
+cached adjacency and heuristic tables.
+Any oracle with ``distances_to``, ``label_version`` and the engine's
+``graph`` can drive it; for one whose scalar ``heuristic`` factory reads
+the same tables the streams agree by construction.
 """
 
 from __future__ import annotations
@@ -89,8 +92,7 @@ import numpy as np
 
 from repro.paths.candidates import Candidates, DominanceStop, collect_candidates
 
-if TYPE_CHECKING:  # circular-import guard: overlay is typing-only here
-    from repro.core.overlay import DeltaOverlay
+if TYPE_CHECKING:
     from repro.graph.frn import FlowAwareRoadNetwork
 
 __all__ = ["FlatQueryKernel"]
@@ -118,19 +120,24 @@ class FlatQueryKernel:
         An oracle over exactly ``frn.graph`` with ``distances_to(target)``
         (exact one-to-all distances, entry ``v`` equal to
         ``distance(v, target)``), ``distance(u, v)`` and a
-        ``label_version`` that moves whenever a table entry can: a
-        :class:`~repro.labeling.hierarchy.HierarchyIndex` (FAHL or H2H)
-        or the sharded gateway's boundary oracle.  Its tables feed the
-        A* heuristic, so the kernel's A* sees the same admissible
-        heuristic values as the scalar reference path.
+        ``label_version`` that moves whenever a table entry can without
+        a graph weight moving: a
+        :class:`~repro.labeling.hierarchy.HierarchyIndex` (FAHL or H2H),
+        a stable-labels-plus-corrections wrapper over one, or the sharded
+        gateway's boundary oracle.  An optional ``distances_to_many``
+        serves :meth:`prefetch`.  Its tables feed the A* heuristic, so
+        the kernel's A* sees the same admissible heuristic values as the
+        scalar reference path.
     frn:
         The flow-aware road network the engine queries.
 
     Attributes
     ----------
-    version:
-        ``index.label_version`` at build time; :meth:`is_current` compares
-        it so engines drop the kernel after any maintenance operation.
+    version, graph_version:
+        ``index.label_version`` and the graph's ``mutation_version`` at
+        build time.  The engine drops the kernel when either moves: an
+        ILU that raises an off-shortest-path edge weight leaves every
+        label untouched, yet the adjacency rows hold the old weight.
     stats:
         Monotone counters (A* searches run, spurs skipped / certified,
         heuristic tables built) — exported to ``repro.obs`` by the
@@ -140,18 +147,11 @@ class FlatQueryKernel:
         stream closed).
     """
 
-    def __init__(
-        self,
-        index,
-        frn: "FlowAwareRoadNetwork",
-        overlay: "DeltaOverlay | None" = None,
-    ) -> None:
+    def __init__(self, index, frn: "FlowAwareRoadNetwork") -> None:
         graph = frn.graph
         n = graph.num_vertices
         self.index = index
         self.frn = frn
-        self.overlay = overlay
-        self.overlay_version = overlay.version if overlay is not None else -1
         self.num_vertices = n
         self.version = index.label_version
         self.graph_version = graph.mutation_version
@@ -161,7 +161,7 @@ class FlatQueryKernel:
         eid: dict[tuple[int, int], int] = {}
         adj: list[list[tuple[int, float, int]]] = []
         wmap: dict[tuple[int, int], float] = {}
-        inexact: set[tuple[int, int]] = set()
+        exact = True
         for u in range(n):
             row = []
             for v, w in graph.neighbor_items(u):
@@ -169,14 +169,15 @@ class FlatQueryKernel:
                 e = eid.get(key)
                 if e is None:
                     e = eid[key] = len(eid)
-                    if not _exact_weight(w, n):
-                        inexact.add(key)
+                    exact = exact and _exact_weight(w, n)
                 row.append((v, w, e))
                 wmap[(u, v)] = w
             adj.append(row)
         self.adj = adj
         self.eid = eid
         self.wmap = wmap
+        # spur certificates are sound only while every path sum is exact
+        self.exact = exact
         # stamped search state reused across every A* run (token bump = O(1)
         # reset); lists beat numpy here — access is scalar, not vectorised
         self._dist: list[float] = [_INF] * n
@@ -187,10 +188,6 @@ class FlatQueryKernel:
         self._h_cache: dict[int, list[float]] = {}
         # target -> float64 row of a prefetched block, until h_to takes it
         self._pending: dict[int, np.ndarray] = {}
-        self._patched: set[tuple[int, int]] = set()
-        # edges whose weight breaks exact path sums; spur certificates are
-        # sound only while this is empty
-        self._inexact = inexact
         self.stats = {
             "astar_runs": 0,
             "spur_memo_hits": 0,
@@ -199,88 +196,25 @@ class FlatQueryKernel:
             "heuristic_builds": 0,
         }
 
-    def is_current(self) -> bool:
-        """Whether the snapshot still matches index, graph and overlay.
-
-        Without an overlay the graph's ``mutation_version`` is checked
-        separately from the label version: an ILU that raises an
-        off-shortest-path edge weight leaves every label (and so
-        ``label_version``) untouched, yet the cached adjacency rows still
-        hold the old weight.  With an overlay attached, every live-graph
-        weight change goes through :meth:`DeltaOverlay.absorb` (which
-        bumps the overlay version), so the overlay check subsumes the
-        graph check and :meth:`refresh_overlay` stays the cheap resync.
-        """
-        if self.version != self.index.label_version:
-            return False
-        if self.overlay is None:
-            return self.graph_version == self.frn.graph.mutation_version
-        return self.overlay.version == self.overlay_version
-
-    def refresh_overlay(self) -> None:
-        """Resync adjacency weights after overlay absorbs (no full rebuild).
-
-        Only edges the overlay tracks (now or at any point since the kernel
-        was built) can have moved, so the patch is ``O(|D| · degree)``:
-        update the affected adjacency rows and weight map in place, then
-        drop the heuristic tables (their values are overlay-dependent).  A
-        non-integral weight turns spur certificates off until it is gone
-        again.  The trie of banned edges lives for one enumeration, so
-        nothing else is stale.
-        """
-        overlay = self.overlay
-        if overlay is None or overlay.version == self.overlay_version:
-            return
-        graph = self.frn.graph
-        candidates = set(overlay.edges) | self._patched
-        for lo, hi in candidates:
-            w = graph.weight(lo, hi)
-            if self.wmap.get((lo, hi)) == w:
-                continue
-            self.wmap[(lo, hi)] = w
-            self.wmap[(hi, lo)] = w
-            for a, b in ((lo, hi), (hi, lo)):
-                row = self.adj[a]
-                for i, (v, _, e) in enumerate(row):
-                    if v == b:
-                        row[i] = (v, w, e)
-                        break
-            self._patched.add((lo, hi))
-            if _exact_weight(w, self.num_vertices):
-                self._inexact.discard((lo, hi))
-            else:
-                self._inexact.add((lo, hi))
-        self._h_cache.clear()
-        self._pending.clear()
-        self.overlay_version = overlay.version
-        self.graph_version = graph.mutation_version
-
     # ------------------------------------------------------------------
     # heuristics / distances
     # ------------------------------------------------------------------
     def h_to(self, target: int) -> list[float]:
         """The admissible heuristic table toward ``target`` (cached).
 
-        One vectorised one-to-all table; entry ``h[v]`` is
-        bit-identical to ``index.distance(v, target)`` (the documented
-        guarantee of ``distances_to``), so A* pops vertices in exactly
-        the order the scalar ``OracleHeuristic`` search would.  With a
-        non-empty overlay the table instead comes from
-        :meth:`DeltaOverlay.table_to` — the exact *current* distances,
-        the same values the scalar path reads through
-        ``OverlayOracle.heuristic`` — keeping the two candidate streams
-        aligned under continuous updates.
+        One vectorised one-to-all table, ``index.distances_to(target)``
+        (or its prefetched row); entry ``h[v]`` is bit-identical to
+        ``index.distance(v, target)`` (the documented guarantee of
+        ``distances_to``), so A* pops vertices in exactly the order the
+        scalar ``OracleHeuristic`` search would.
         """
         h = self._h_cache.get(target)
         if h is None:
             if len(self._h_cache) >= _H_CACHE:
                 self._h_cache.clear()
-            if self.overlay is not None and not self.overlay.is_empty:
-                table = self.overlay.table_to(target)
-            else:
-                table = self._pending.pop(target, None)
-                if table is None:
-                    table = self.index.distances_to(target)
+            table = self._pending.pop(target, None)
+            if table is None:
+                table = self.index.distances_to(target)
             h = self._h_cache[target] = table.tolist()
             self.stats["heuristic_builds"] += 1
         return h
@@ -293,13 +227,9 @@ class FlatQueryKernel:
         pending map until :meth:`h_to` takes each (one ``tolist``).
         Pending rows of targets outside ``targets`` are dropped, so the
         map never holds more than one call's targets.  A no-op when the
-        overlay is
-        non-empty (:meth:`h_to` reads ``table_to`` then), when the
-        oracle has no ``distances_to_many``, or when fewer than two
+        oracle has no ``distances_to_many`` or when fewer than two
         targets are missing.  Every target must be a valid vertex id.
         """
-        if self.overlay is not None and not self.overlay.is_empty:
-            return
         sweep = getattr(self.index, "distances_to_many", None)
         if sweep is None:
             return
@@ -317,8 +247,6 @@ class FlatQueryKernel:
         h = self._h_cache.get(v)
         if h is not None:
             return h[u]
-        if self.overlay is not None and not self.overlay.is_empty:
-            return self.h_to(v)[u]
         return self.index.distance(u, v)
 
     # ------------------------------------------------------------------
@@ -526,7 +454,7 @@ class FlatQueryKernel:
         wmap = self.wmap
         eid = self.eid
         stats = self.stats
-        exact = not self._inexact
+        exact = self.exact
         # lb and a total round differently unless every sum is exact
         shrink = 1.0 if exact else 1.0 - 4 * (self.num_vertices + 2) / _EXACT_SUM
         # pending spurs (lb, seq, None, base, trie nodes, spur index, prefix

@@ -280,9 +280,9 @@ class FlowAwareEngine:
         if kern is None:
             return
         index = kern.index
-        if isinstance(index, HierarchyIndex) and (
-            kern.overlay is None or kern.overlay.is_empty
-        ):
+        if isinstance(index, OverlayOracle) and index.overlay.is_empty:
+            index = index.index
+        if isinstance(index, HierarchyIndex):
             arena = index.arena()
             if arena.quantized:
                 arena.sweep_plan(index)
@@ -293,46 +293,36 @@ class FlowAwareEngine:
         The kernel speaks for any oracle with an exact one-to-all
         ``distances_to`` table, a ``label_version`` and a ``graph`` that is
         this FRN's graph: hierarchy indexes, the sharded gateway's
-        boundary-table oracle, and :class:`~repro.core.overlay.OverlayOracle`
-        wrappers over an index (stable ⊕ overlay serving: the kernel's
-        heuristic tables and adjacency then track the overlay's exact
-        current-graph view).  Oracles without such a table (index-free
+        boundary-table oracle, and
+        :class:`~repro.core.overlay.OverlayOracle` wrappers over an index
+        (stable ⊕ overlay serving: the kernel reads the wrapper's exact
+        current-graph tables).  Oracles without such a table (index-free
         A*, CH, TD-G-tree, ALT) and exhaustive enumeration use the
-        reference path iterator.  A cached kernel is dropped whenever the
-        underlying oracle object changes, its label version moves, or
-        (overlay-free) the graph's ``mutation_version`` moves — an ILU can
-        change an off-shortest-path edge weight without touching any
-        label; an overlay version bump only triggers the cheap in-place
-        adjacency resync.
+        reference path iterator.  A cached kernel is rebuilt whenever the
+        oracle object changes, its label version moves, or the graph's
+        ``mutation_version`` moves — an ILU can change an
+        off-shortest-path edge weight without touching any label, and
+        every overlay absorb sets a live weight.
         """
         if self.kernel != "flat" or self.exhaustive:
             return None
         oracle = self.oracle
-        overlay = None
-        if isinstance(oracle, OverlayOracle):
-            overlay = oracle.overlay
-            oracle = oracle.index
+        graph = self.frn.graph
         if not (
             callable(getattr(oracle, "distances_to", None))
             and hasattr(oracle, "label_version")
-            and getattr(oracle, "graph", None) is self.frn.graph
+            and getattr(oracle, "graph", None) is graph
         ):
             return None
         kern = self._flat_kernel_cache
         if (
             kern is None
             or kern.index is not oracle
-            or kern.overlay is not overlay
             or kern.version != oracle.label_version
-            or (
-                overlay is None
-                and kern.graph_version != self.frn.graph.mutation_version
-            )
+            or kern.graph_version != graph.mutation_version
         ):
-            kern = FlatQueryKernel(oracle, self.frn, overlay=overlay)
+            kern = FlatQueryKernel(oracle, self.frn)
             self._flat_kernel_cache = kern
-        elif not kern.is_current():
-            kern.refresh_overlay()
         return kern
 
     def shortest_distance(self, source: int, target: int) -> float:

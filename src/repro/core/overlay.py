@@ -41,9 +41,13 @@ a small :class:`DeltaOverlay`:
   the ordinary ILU/ISU/GSU maintenance — in small cooperative steps that
   interleave with queries, then swaps it in atomically (plain attribute
   assignments, no fault checkpoint in between) and rebases the overlay.
-  The back buffer reads weights through a snapshot view, so updates
-  absorbed *during* consolidation cannot contaminate the repair; they
-  simply stay in the overlay across the swap.
+  The back buffer repairs a private copy of the graph, taken with every
+  overlay edge at its stable weight, so updates absorbed *during*
+  consolidation move only the live graph and cannot contaminate the
+  repair; they simply stay in the overlay across the swap.  The flat
+  kernel tracks none of this: every absorb sets a live weight, which
+  moves the graph's ``mutation_version`` and so rebuilds the kernel on
+  the next query.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ import heapq
 import math
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -418,6 +422,17 @@ class OverlayOracle:
     def distances_to(self, target: int) -> np.ndarray:
         return self.heuristic_table(target)
 
+    def distances_to_many(self, targets) -> np.ndarray:
+        """The :meth:`distances_to` tables of several targets, as one block.
+
+        The index's multi-target sweep while the overlay is empty, else
+        one :meth:`heuristic_table` row per target.
+        """
+        if self.overlay.is_empty:
+            return self.index.distances_to_many(targets)
+        rows = [self.heuristic_table(int(t)) for t in targets]
+        return np.array(rows).reshape(len(rows), self.graph.num_vertices)
+
     # ------------------------------------------------------------------
     # point / batched distances
     # ------------------------------------------------------------------
@@ -512,96 +527,6 @@ class OverlayOracle:
 # ----------------------------------------------------------------------
 # consolidation
 # ----------------------------------------------------------------------
-class _SnapshotGraph:
-    """Weight-snapshot view of the live graph for the back buffer.
-
-    The consolidation clone shares the live :class:`RoadNetwork`, whose
-    weights have already moved on (the overlay absorbed them).  ILU's
-    shortcut recompute reads *base* weights from the graph, so the back
-    buffer must see each edge at the weight its labels were built under
-    until its own repair step runs — and must never see updates absorbed
-    mid-consolidation.  This view overlays ``overrides`` (initially every
-    overlay edge pinned at its stable weight) on the live graph; ILU's
-    ``set_weight`` writes the override, never the live graph.
-    """
-
-    def __init__(self, base: RoadNetwork, overrides: dict[tuple[int, int], float]):
-        self._base = base
-        self._overrides = overrides
-        self._touched: dict[int, dict[int, float]] = {}
-        for (lo, hi), w in overrides.items():
-            self._touched.setdefault(lo, {})[hi] = w
-            self._touched.setdefault(hi, {})[lo] = w
-
-    @property
-    def num_vertices(self) -> int:
-        return self._base.num_vertices
-
-    @property
-    def num_edges(self) -> int:
-        return self._base.num_edges
-
-    @property
-    def coordinates(self):
-        return self._base.coordinates
-
-    def vertices(self) -> range:
-        return self._base.vertices()
-
-    def __len__(self) -> int:
-        return self._base.num_vertices
-
-    def __contains__(self, vertex: int) -> bool:
-        return vertex in self._base
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return self._base.has_edge(u, v)
-
-    def weight(self, u: int, v: int) -> float:
-        w = self._overrides.get(_edge_key(u, v))
-        return self._base.weight(u, v) if w is None else w
-
-    def set_weight(self, u: int, v: int, weight: float) -> None:
-        if not self._base.has_edge(u, v):
-            raise EdgeNotFoundError(u, v)
-        lo, hi = _edge_key(u, v)
-        weight = float(weight)
-        self._overrides[(lo, hi)] = weight
-        self._touched.setdefault(lo, {})[hi] = weight
-        self._touched.setdefault(hi, {})[lo] = weight
-
-    def pin(self, u: int, v: int, weight: float) -> None:
-        """Pin an edge absorbed mid-consolidation at its stable weight."""
-        lo, hi = _edge_key(u, v)
-        if (lo, hi) not in self._overrides:
-            self.set_weight(u, v, weight)
-
-    def adjacency(self, vertex: int) -> Mapping[int, float]:
-        row = self._base.adjacency(vertex)
-        patch = self._touched.get(vertex)
-        if not patch:
-            return row
-        out = dict(row)
-        out.update(patch)
-        return out
-
-    def neighbor_items(self, vertex: int) -> Iterator[tuple[int, float]]:
-        return iter(self.adjacency(vertex).items())
-
-    def neighbors(self, vertex: int):
-        return self._base.neighbors(vertex)
-
-    def degree(self, vertex: int) -> int:
-        return self._base.degree(vertex)
-
-    def edges(self) -> Iterator[tuple[int, int, float]]:
-        for u, v, _ in self._base.edges():
-            yield u, v, self.weight(u, v)
-
-    def total_weight(self) -> float:
-        return sum(w for _, _, w in self.edges())
-
-
 class ConsolidationTask:
     """Cooperative background fold of the overlay into a back buffer.
 
@@ -610,8 +535,11 @@ class ConsolidationTask:
     completion).  Stages, each guarded by a ``consolidate:*`` fault
     checkpoint from :data:`repro.core.maintenance.FAULT_POINTS`:
 
-    1. **clone** — deep-copy the serving index (graph shared through the
-       snapshot view above).
+    1. **clone** — deep-copy the serving index onto a private copy of
+       the live graph with every overlay edge at its stable weight, the
+       weight the labels were built under.  Later absorbs move only the
+       live graph, so the back buffer never sees them; they stay in the
+       overlay across the swap.
     2. **weights** — one ILU per overlay edge on the clone, stable →
        current weight, non-transactional (a failure discards the whole
        clone; the serving index was never touched).
@@ -643,7 +571,6 @@ class ConsolidationTask:
         self.back: HierarchyIndex | None = None
         self.consolidated: dict[tuple[int, int], float] = {}
         self.consolidated_flows: dict[int, float] = {}
-        self._view: _SnapshotGraph | None = None
         self._rebase_state: tuple[dict, list, dict] | None = None
         self._prepared_version: int | None = None
         self._pending_edges: deque[tuple[tuple[int, int], float]] = deque()
@@ -660,16 +587,6 @@ class ConsolidationTask:
         self.steps = 0
 
     # ------------------------------------------------------------------
-    def note_absorb(self, u: int, v: int, stable_weight: float) -> None:
-        """Pin an edge absorbed while this task is running.
-
-        The back buffer must keep seeing the weight its labels were built
-        under; the edge stays in the overlay across the swap (it is not in
-        :attr:`consolidated`), so queries remain exact throughout.
-        """
-        if self._view is not None and not self.committed:
-            self._view.pin(u, v, stable_weight)
-
     @property
     def done(self) -> bool:
         return self.state == "done"
@@ -680,13 +597,14 @@ class ConsolidationTask:
             return self.state
         self.steps += 1
         if self.state == "clone":
-            overrides = {key: e.stable for key, e in self.overlay.edges.items()}
+            graph = self.index.graph.copy()
+            for (lo, hi), e in self.overlay.edges.items():
+                graph.set_weight(lo, hi, e.stable)
             self._pending_edges = deque(
                 (key, e.current) for key, e in self.overlay.edges.items()
             )
             back = self.index.clone()
-            self._view = _SnapshotGraph(self.index.graph, overrides)
-            back.graph = self._view
+            back.graph = graph
             self.back = back
             _checkpoint("consolidate:clone-created")
             self.state = "weights"

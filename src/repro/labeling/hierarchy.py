@@ -455,13 +455,13 @@ class HierarchyIndex:
     def clone(self) -> "HierarchyIndex":
         """An independent deep copy of the index that *shares* the graph.
 
-        The consolidation pass repairs a back-buffer clone while the
-        original keeps serving; both must observe the same live
-        :class:`RoadNetwork` (single source of truth for current weights),
-        so the graph is injected into the deepcopy memo instead of being
-        copied.  Everything else — elimination, tree, LCA, labels, bag
-        views — is fully independent: mutating the clone can never corrupt
-        the serving index.  The packed arena is excluded (the clone rebuilds
+        The graph is injected into the deepcopy memo instead of being
+        copied; a caller that wants the clone on other weights assigns it
+        a graph of its own (the consolidation pass repairs its back buffer
+        on a private copy while the original keeps serving).  Everything
+        else — elimination, tree, LCA, labels, bag views — is fully
+        independent: mutating the clone's labels can never corrupt the
+        serving index.  The packed arena is excluded (the clone rebuilds
         it lazily on first vectorised query).
         """
         memo: dict[int, object] = {id(self.graph): self.graph}

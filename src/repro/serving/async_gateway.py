@@ -61,7 +61,6 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import threading
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -135,8 +134,6 @@ class AsyncGateway:
     kernel, batch_timeout:
         Forwarded to ``engine.batch`` (kernel selection and per-chunk
         timeout passthrough of the unified batch signature).
-    window_seconds:
-        Deprecated and ignored: there is no coalescing timer.
     """
 
     def __init__(
@@ -150,16 +147,7 @@ class AsyncGateway:
         workers: int = 1,
         kernel: str | None = None,
         batch_timeout: float | None = None,
-        window_seconds: float | None = None,
     ) -> None:
-        if window_seconds is not None:
-            warnings.warn(
-                "AsyncGateway(window_seconds=...) is deprecated and ignored: "
-                "the gateway dispatches whatever is pending as soon as its "
-                "loop is free",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         if max_window < 1:
             raise QueryError(f"max_window must be >= 1, got {max_window}")
         if max_queue < 1:

@@ -185,10 +185,10 @@ class ResilientEngine:
         consolidation or :meth:`repair` writes a checkpoint and rotates
         the log.  :func:`repro.durability.recover` turns that directory
         back into a serving engine after a crash.
-    update_mode, time_budget, backoff, clock, sleep:
-        Deprecated (docs/API.md).  ``update_mode="overlay"`` names the
-        only update path and is accepted silently; ``"inline"`` and the
-        four retry-loop knobs warn and change nothing.
+    update_mode:
+        Deprecated (docs/API.md).  ``"overlay"`` names the only update
+        path and is accepted silently; ``"inline"`` warns and changes
+        nothing.
     """
 
     def __init__(
@@ -198,23 +198,16 @@ class ResilientEngine:
         alpha: float = 0.5,
         eta_u: float = 3.0,
         pruning: str = "none",
-        time_budget: float | None = None,
         max_retries: int = 1,
-        backoff: float | None = None,
         audit_samples: int = 24,
         audit_seed: int = 0,
         dead_letter_capacity: int = 1024,
-        clock: Callable[[], float] | None = None,
-        sleep: Callable[[float], None] | None = None,
         kernel: str = "flat",
         update_mode: str = "overlay",
         overlay_capacity: int = 64,
         durability=None,
     ) -> None:
-        _warn_deprecated(
-            update_mode,
-            time_budget=time_budget, backoff=backoff, clock=clock, sleep=sleep,
-        )
+        _warn_deprecated(update_mode)
         if index is None:
             index = FAHLIndex.from_frn(frn)
         if index.graph is not frn.graph:
@@ -280,10 +273,10 @@ class ResilientEngine:
     def _notify_listeners(self) -> None:
         """Fire the registered hooks without nuking the engines' caches.
 
-        Overlay absorbs use this lighter path: the flat kernel resyncs
-        itself off the overlay version and the flow cache does not depend
-        on weights, but result caches stacked above (the gateway) key off
-        epochs and must still be bumped.
+        Overlay absorbs use this lighter path: the flat kernel rebuilds
+        itself once the live graph's ``mutation_version`` moves and the
+        flow cache does not depend on weights, but result caches stacked
+        above (the gateway) key off epochs and must still be bumped.
         """
         for hook in self._invalidation_hooks:
             hook()
@@ -421,16 +414,9 @@ class ResilientEngine:
         """
         overlay = self.overlay
         if isinstance(update, WeightUpdate):
-            changed = overlay.absorb(update.u, update.v, update.value)
-            if changed:
-                if self._task is not None:
-                    entry = overlay.edges[
-                        (update.u, update.v) if update.u < update.v
-                        else (update.v, update.u)
-                    ]
-                    self._task.note_absorb(update.u, update.v, entry.stable)
-                # results changed: bump listener epochs; the engines' own
-                # caches resync off the overlay version without a rebuild
+            if overlay.absorb(update.u, update.v, update.value):
+                # results changed: bump listener epochs; the flat kernel
+                # rebuilds itself off the graph's mutation version
                 self._notify_listeners()
             strategy = "overlay"
         else:
@@ -780,7 +766,7 @@ class ResilientEngine:
         )
 
 
-def _warn_deprecated(update_mode: str, **knobs) -> None:
+def _warn_deprecated(update_mode: str) -> None:
     """One deprecation cycle for the retired inline update path."""
     if update_mode == "inline":
         warnings.warn(
@@ -794,14 +780,6 @@ def _warn_deprecated(update_mode: str, **knobs) -> None:
             f"update_mode must be 'overlay' (or the deprecated 'inline'), "
             f"got {update_mode!r}"
         )
-    for name, value in knobs.items():
-        if value is not None:
-            warnings.warn(
-                f"{name} is deprecated and ignored: updates are absorbed "
-                "into the overlay, with no retry loop to budget or pace",
-                DeprecationWarning,
-                stacklevel=3,
-            )
 
 
 def _finite(value: object) -> bool:

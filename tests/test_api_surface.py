@@ -48,8 +48,8 @@ def engines(frn):
     index = build_fahl(frn)
     return {
         "flow": FlowAwareEngine(frn, oracle=index),
-        "resilient": ResilientEngine(frn, index=index, max_retries=0, backoff=0.0),
-        "sharded": ShardedGateway(frn, num_shards=2, max_retries=0, backoff=0.0),
+        "resilient": ResilientEngine(frn, index=index, max_retries=0),
+        "sharded": ShardedGateway(frn, num_shards=2, max_retries=0),
     }
 
 
@@ -179,8 +179,8 @@ class TestAsyncEngineProtocol:
             assert isinstance(adapted, AsyncEngine), name
             assert adapted.engine is engine
 
-    def test_to_async_window_seconds_is_deprecated(self, engines):
-        with pytest.warns(DeprecationWarning, match="window_seconds"):
+    def test_to_async_rejects_window_seconds(self, engines):
+        with pytest.raises(TypeError, match="window_seconds"):
             to_async(engines["flow"], window_seconds=0.002)
 
     def test_to_async_passes_through_async_engines(self, engines):

@@ -415,10 +415,9 @@ class TestConstruction:
         with pytest.raises(QueryError):
             AsyncGateway(flow_engine, workers=0)
 
-    def test_window_seconds_is_deprecated_and_ignored(self, flow_engine):
-        with pytest.warns(DeprecationWarning, match="window_seconds"):
-            gateway = AsyncGateway(flow_engine, window_seconds=-1.0)
-        assert not hasattr(gateway, "window_seconds")
+    def test_window_seconds_is_rejected(self, flow_engine):
+        with pytest.raises(TypeError, match="window_seconds"):
+            AsyncGateway(flow_engine, window_seconds=0.002)
 
     def test_one_gateway_per_loop(self, flow_engine):
         gateway = AsyncGateway(flow_engine)

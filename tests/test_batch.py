@@ -245,6 +245,20 @@ class TestMultiTargetSweep:
         assert "single" not in built
         assert sum(map(int, built)) == 40
 
+    def test_serving_batch_over_empty_overlay_sweeps_once_per_slice(
+        self, medium_frn, rng, sweep_log
+    ):
+        # fleet_batch's path: the kernel behind ResilientEngine.batch reads
+        # its tables through the OverlayOracle, which hands a slice's
+        # targets to the index's multi-target sweep while it is empty
+        serving = ResilientEngine(medium_frn, overlay_capacity=64)
+        queries = distinct_target_queries(medium_frn, rng, 40)
+        loop = [serving.query(q) for q in queries]
+        serving.invalidate()
+        start = len(sweep_log())
+        assert serving.batch(queries) == loop
+        assert sweep_log()[start:] == ["32", "8"]
+
     def test_non_empty_overlay_sweeps_nothing(self, medium_frn, rng, sweep_log):
         serving = ResilientEngine(medium_frn, overlay_capacity=64)
         u, v, w = next(iter(medium_frn.graph.edges()))

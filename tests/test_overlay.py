@@ -8,12 +8,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.dijkstra import dijkstra_distance, dijkstra_distances
-from repro.core.overlay import (
-    ConsolidationTask,
-    DeltaOverlay,
-    OverlayOracle,
-    _SnapshotGraph,
-)
+from repro.core.overlay import ConsolidationTask, DeltaOverlay, OverlayOracle
 from repro.errors import EdgeNotFoundError, GraphError
 from repro.flow.synthetic import generate_flow_series
 from repro.graph.frn import FlowAwareRoadNetwork
@@ -166,33 +161,6 @@ class TestOverlayOracle:
             assert weight == pytest.approx(oracle.distance(s, t))
 
 
-class TestSnapshotGraph:
-    def test_overrides_mask_live_mutations(self, graph):
-        view = _SnapshotGraph(graph, {(0, 1): 4.0})
-        graph.set_weight(0, 1, 99.0)
-        assert view.weight(0, 1) == 4.0
-        assert view.weight(1, 0) == 4.0
-        assert graph.weight(0, 1) == 99.0
-        assert dict(view.adjacency(0))[1] == 4.0
-        assert (0, 1, 4.0) in list(view.edges())
-
-    def test_set_weight_writes_override_not_base(self, graph):
-        view = _SnapshotGraph(graph, {})
-        view.set_weight(0, 1, 2.0)
-        assert view.weight(0, 1) == 2.0
-        assert graph.weight(0, 1) == 4.0
-
-    def test_pin_freezes_mid_task_absorbs(self, graph):
-        view = _SnapshotGraph(graph, {})
-        view.pin(2, 4, 3.0)
-        graph.set_weight(2, 4, 50.0)
-        assert view.weight(2, 4) == 3.0
-        # pin never clobbers an explicit maintenance write
-        view.set_weight(0, 1, 6.0)
-        view.pin(0, 1, 4.0)
-        assert view.weight(0, 1) == 6.0
-
-
 class TestConsolidationTask:
     def test_run_folds_and_swaps(self, graph, index, overlay):
         oracle = OverlayOracle(index, overlay)
@@ -208,6 +176,23 @@ class TestConsolidationTask:
         assert overlay.is_empty
         oracle.index = new_index
         assert_oracle_exact(oracle, graph)
+
+    def test_live_absorb_leaves_back_buffer_graph_unchanged(
+        self, graph, index, overlay
+    ):
+        overlay.absorb(0, 1, 9.0)
+        task = ConsolidationTask(index, overlay)
+        task.step()  # clone
+        back = task.back.graph
+        assert back is not graph
+        # the back buffer starts from the weight its labels were built under
+        assert back.weight(0, 1) == 4.0
+        assert overlay.absorb(2, 4, 50.0)
+        assert overlay.absorb(0, 1, 2.0)
+        assert graph.weight(2, 4) == 50.0
+        assert back.weight(2, 4) == back.weight(4, 2) == 3.0
+        assert back.weight(0, 1) == 4.0
+        assert dict(back.adjacency(2))[4] == 3.0
 
     def test_queries_exact_between_every_step(self, graph, index, overlay):
         oracle = OverlayOracle(index, overlay)
@@ -230,7 +215,6 @@ class TestConsolidationTask:
         )
         task.step()  # clone
         assert overlay.absorb(2, 4, 1.0)
-        task.note_absorb(2, 4, 3.0)
         task.run()
         # the mid-task edge is still pending — not silently dropped
         assert (2, 4) in overlay.edges
@@ -254,7 +238,6 @@ class TestConsolidationTask:
             task.step()
         # lands after prepare computed the rebase: must not be lost
         assert overlay.absorb(5, 7, 2.0)
-        task.note_absorb(5, 7, 9.0)
         task.run()
         assert (5, 7) in overlay.edges
         assert_oracle_exact(oracle, graph)

@@ -133,25 +133,21 @@ class TestGuardedMaintenance:
         update = WeightUpdate(0, 1, 9.0, timestamp=1.0)
         reference = ResilientEngine(fresh_frn())
         assert reference.submit(update).applied
-        for kwargs in (
-            {"update_mode": "inline"},
-            {"time_budget": 5.0},
-            {"backoff": 0.0},
-            {"clock": lambda: 0.0},
-            {"sleep": lambda seconds: None},
-        ):
-            with pytest.warns(DeprecationWarning, match=next(iter(kwargs))):
-                serving = ResilientEngine(fresh_frn(), **kwargs)
-            outcome = serving.submit(update)
-            assert outcome.applied and outcome.strategy == "overlay"
-            assert serving.query(query).result == reference.query(query).result
-            assert serving.distance(2, 7) == reference.distance(2, 7)
-            status = serving.status()
-            assert status.update_mode == "overlay"
-            assert status.deferred_updates == 0
+        with pytest.warns(DeprecationWarning, match="update_mode"):
+            serving = ResilientEngine(fresh_frn(), update_mode="inline")
+        outcome = serving.submit(update)
+        assert outcome.applied and outcome.strategy == "overlay"
+        assert serving.query(query).result == reference.query(query).result
+        assert serving.distance(2, 7) == reference.distance(2, 7)
+        status = serving.status()
+        assert status.update_mode == "overlay"
+        assert status.deferred_updates == 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ResilientEngine(fresh_frn(), update_mode="overlay")
+        for name in ("time_budget", "backoff", "clock", "sleep"):
+            with pytest.raises(TypeError, match=name):
+                ResilientEngine(fresh_frn(), **{name: None})
 
 
 class TestQueriesAndAudit:
