@@ -24,7 +24,14 @@ smallest network.  Per rung it records:
   CPU ms of one ``SweepPlan`` build, the median of ``PLAN_BUILDS``.
   Commits whose plan has no ``cells`` count their padded level matrices;
 * the label arena's size, sweep plan included (``index.arena().nbytes``),
-  read after the table columns.
+  read after the table columns, the resident MB of the index with arena
+  and plan built (``resident_mb``, ``index_size_bytes`` then) and the
+  dtype of the labels the arena reads (``label_dtype``);
+* at ×4, ×8 and ×16 (``QUERY_SCALES``), FAHL-W query CPU ms p50/p99 over
+  ``QUERY_PAIRS`` seeded random pairs at random departure steps, one
+  ``FlowAwareEngine.query`` each (Lemma-4 pruning, the experiment
+  runner's default α, η_u and candidate budget), after one warm-up
+  query; ``null`` on the other rungs.
 
 Results go to ``BENCH_build_ladder.json`` in the shared
 ``{bench, env, config, results}`` layout.
@@ -52,6 +59,9 @@ except ModuleNotFoundError:  # run as a script: benchmarks/ is sys.path[0]
     from _env import env_info
 from repro import obs
 from repro.core.fahl import FAHLIndex
+from repro.core.fpsps import FlowAwareEngine
+from repro.core.fspq import FSPQuery
+from repro.experiments.runner import ExperimentConfig
 from repro.labeling.arena import SweepPlan
 from repro.treedec.elimination import eliminate
 from repro.treedec.ordering import degree_flow_importance
@@ -69,6 +79,9 @@ TABLE_TARGETS = 64
 SWEEP_K = 32
 #: sweep plans built per rung for the plan_build_ms median
 PLAN_BUILDS = 9
+#: rungs that time FAHL-W queries, and the random pairs timed on each
+QUERY_SCALES = (4.0, 8.0, 16.0)
+QUERY_PAIRS = 100
 
 
 def _cpu(fn):
@@ -118,6 +131,32 @@ def plan_stats(index) -> tuple[int, int, float]:
     return cells, bag_cells, statistics.median(build_s) * 1e3
 
 
+def query_ms(frn, index, seed: int) -> tuple[float, float]:
+    """CPU ms p50 and p99 of FAHL-W queries on ``QUERY_PAIRS`` random pairs."""
+    config = ExperimentConfig()
+    engine = FlowAwareEngine(
+        frn,
+        oracle=index,
+        alpha=config.alpha,
+        eta_u=config.eta_u,
+        pruning="lemma4",
+        max_candidates=config.max_candidates,
+    )
+    rng = np.random.default_rng(seed)
+    n = frn.num_vertices
+    queries = []
+    while len(queries) < QUERY_PAIRS + 1:
+        source, target = (int(v) for v in rng.integers(0, n, size=2))
+        if source != target:
+            queries.append(
+                FSPQuery(source, target, int(rng.integers(frn.num_timesteps)))
+            )
+    engine.query(queries[0])  # kernel, arena and plan, outside the timing
+    times = [_cpu(lambda: engine.query(q))[0] * 1e3 for q in queries[1:]]
+    p50, p99 = np.percentile(times, [50, 99])
+    return float(p50), float(p99)
+
+
 def rung(scale: float, repeat: int, seed: int) -> dict:
     frn = load_dataset("NYC", scale=scale, seed=seed).frn
     graph = frn.graph
@@ -139,7 +178,12 @@ def rung(scale: float, repeat: int, seed: int) -> dict:
     index_mb = index.index_size_bytes() / 1e6
     table_k1_ms, table_k32_ms = table_ms(index, repeat, seed)
     sweep_cells, bag_cells, plan_build_ms = plan_stats(index)
-    arena_mb = index.arena().nbytes / 1e6
+    arena = index.arena()
+    arena_mb = arena.nbytes / 1e6
+    resident_mb = index.index_size_bytes() / 1e6
+    query_p50, query_p99 = (
+        query_ms(frn, index, seed) if scale in QUERY_SCALES else (None, None)
+    )
     return {
         "scale": scale,
         "num_vertices": graph.num_vertices,
@@ -157,6 +201,10 @@ def rung(scale: float, repeat: int, seed: int) -> dict:
         "bag_cells": bag_cells,
         "plan_build_ms": plan_build_ms,
         "arena_mb": arena_mb,
+        "resident_mb": resident_mb,
+        "label_dtype": str(arena.label_values.dtype),
+        "query_cpu_ms_p50": query_p50,
+        "query_cpu_ms_p99": query_p99,
     }
 
 
@@ -184,7 +232,13 @@ def main() -> int:
             f"table {row['table_k1_ms_per_target']:.2f} ms/target at k=1, "
             f"{row['table_k32_ms_per_target'] or float('nan'):.2f} at k={SWEEP_K}, "
             f"plan {row['sweep_cells']} cells for {row['bag_cells']} bag cells "
-            f"in {row['plan_build_ms']:.1f} ms, arena {row['arena_mb']:.1f} MB",
+            f"in {row['plan_build_ms']:.1f} ms, arena {row['arena_mb']:.1f} MB, "
+            f"resident {row['resident_mb']:.1f} MB ({row['label_dtype']} labels)"
+            + (
+                f", FAHL-W query p50 {row['query_cpu_ms_p50']:.1f} ms "
+                f"p99 {row['query_cpu_ms_p99']:.1f} ms"
+                if row["query_cpu_ms_p50"] is not None else ""
+            ),
             flush=True,
         )
     payload = {
@@ -200,6 +254,8 @@ def main() -> int:
             "table_targets": TABLE_TARGETS,
             "sweep_k": SWEEP_K,
             "plan_builds": PLAN_BUILDS,
+            "query_scales": list(QUERY_SCALES),
+            "query_pairs": QUERY_PAIRS,
         },
         "results": results,
     }

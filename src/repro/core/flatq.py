@@ -74,9 +74,10 @@ A* directly.
 The kernel snapshots the oracle's ``label_version`` and the graph's
 ``mutation_version`` at build time, and reads every heuristic table
 through the oracle's ``distances_to`` / ``distances_to_many``.  The
-engine rebuilds the kernel whenever either version moves, so
-maintenance and every live weight change transparently invalidate the
-cached adjacency and heuristic tables.
+engine rebuilds the kernel whenever the graph's version moves, and
+rebinds it (:meth:`FlatQueryKernel.rebind`: same rows, no tables) to a
+new oracle or label version, so maintenance and every live weight change
+transparently invalidate the cached adjacency and heuristic tables.
 Any oracle with ``distances_to``, ``label_version`` and the engine's
 ``graph`` can drive it; for one whose scalar ``heuristic`` factory reads
 the same tables the streams agree by construction.
@@ -134,9 +135,10 @@ class FlatQueryKernel:
     Attributes
     ----------
     version, graph_version:
-        ``index.label_version`` and the graph's ``mutation_version`` at
-        build time.  The engine drops the kernel when either moves: an
-        ILU that raises an off-shortest-path edge weight leaves every
+        ``index.label_version`` at the last (re)bind and the graph's
+        ``mutation_version`` at build time.  The engine rebinds the
+        kernel when the first moves and rebuilds it when the second does:
+        an ILU that raises an off-shortest-path edge weight leaves every
         label untouched, yet the adjacency rows hold the old weight.
     stats:
         Monotone counters (A* searches run, spurs skipped / certified,
@@ -195,6 +197,23 @@ class FlatQueryKernel:
             "spur_certified": 0,
             "heuristic_builds": 0,
         }
+
+    def rebind(self, index) -> None:
+        """Serve ``index`` at its current label version on the same rows.
+
+        The adjacency rows, edge ids, weights and :attr:`exact` depend on
+        the graph alone, so a new oracle or label version over an
+        unchanged graph keeps them; only the heuristic tables, read off
+        the oracle, are dropped.
+        """
+        self.index = index
+        self.version = index.label_version
+        self.drop_tables()
+
+    def drop_tables(self) -> None:
+        """Forget every cached and prefetched heuristic table."""
+        self._h_cache = {}
+        self._pending = {}
 
     # ------------------------------------------------------------------
     # heuristics / distances

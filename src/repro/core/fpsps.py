@@ -256,10 +256,13 @@ class FlowAwareEngine:
 
         This is the canonical invalidation hook of the engine protocol
         (docs/API.md): serving layers chain their own epoch bumps off it
-        so maintenance can never refresh one cache and miss another.
+        so maintenance can never refresh one cache and miss another.  The
+        flat kernel keeps its graph rows (:meth:`_flat_kernel` rebuilds
+        them when the graph moves) and drops its heuristic tables.
         """
         self._flow_cache.clear()
-        self._flat_kernel_cache = None
+        if self._flat_kernel_cache is not None:
+            self._flat_kernel_cache.drop_tables()
 
     def prime(self) -> None:
         """Build what a query would build lazily on the current oracle.
@@ -299,10 +302,11 @@ class FlowAwareEngine:
         current-graph tables).  Oracles without such a table (index-free
         A*, CH, TD-G-tree, ALT) and exhaustive enumeration use the
         reference path iterator.  A cached kernel is rebuilt whenever the
-        oracle object changes, its label version moves, or the graph's
-        ``mutation_version`` moves — an ILU can change an
-        off-shortest-path edge weight without touching any label, and
-        every overlay absorb sets a live weight.
+        FRN or the graph's ``mutation_version`` moves — an ILU can change
+        an off-shortest-path edge weight without touching any label, and
+        every overlay absorb sets a live weight — and rebound
+        (:meth:`FlatQueryKernel.rebind`: same graph rows, no tables) when
+        only the oracle object or its label version moved.
         """
         if self.kernel != "flat" or self.exhaustive:
             return None
@@ -317,12 +321,13 @@ class FlowAwareEngine:
         kern = self._flat_kernel_cache
         if (
             kern is None
-            or kern.index is not oracle
-            or kern.version != oracle.label_version
+            or kern.frn is not self.frn
             or kern.graph_version != graph.mutation_version
         ):
             kern = FlatQueryKernel(oracle, self.frn)
             self._flat_kernel_cache = kern
+        elif kern.index is not oracle or kern.version != oracle.label_version:
+            kern.rebind(oracle)
         return kern
 
     def shortest_distance(self, source: int, target: int) -> float:

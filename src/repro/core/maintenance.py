@@ -47,7 +47,11 @@ from repro.errors import (
     IndexStateError,
     MaintenanceError,
 )
-from repro.labeling.hierarchy import HierarchyIndex
+from repro.labeling.hierarchy import (
+    REFERENCE_ATTRS,
+    REPLACED_ATTRS,
+    HierarchyIndex,
+)
 from repro.treedec.elimination import (
     EliminationResult,
     relax_from_bag,
@@ -126,30 +130,6 @@ def _checkpoint(name: str) -> None:
 # ----------------------------------------------------------------------
 # transactional snapshot / rollback
 # ----------------------------------------------------------------------
-#: Index attributes that are *replaced* (never mutated in place) by the
-#: maintenance paths — saving the references and the list containers is
-#: enough to restore them.
-_REPLACED_ATTRS = (
-    "labels",
-    "vias",
-    "bag_keys",
-    "bag_weights",
-    "bag_pos",
-    "positions",
-    "anc",
-)
-_REFERENCE_ATTRS = (
-    "tree",
-    "lca",
-    "anc_offsets",
-    "anc_flat",
-    "_depth",
-    "_inv_bags",
-    "_arena",
-    "_version",
-)
-
-
 class IndexSnapshot:
     """A restorable snapshot of a :class:`HierarchyIndex`'s mutable state.
 
@@ -159,10 +139,14 @@ class IndexSnapshot:
       the Lemma-1 fast path) — deep-copied here and restored into the
       *original* containers, so aliases held by the tree decomposition see
       pristine data again after a rollback;
-    * per-vertex arrays (labels, vias, bag views, ancestor arrays) that are
-      always *replaced* wholesale — shallow list copies suffice;
-    * derived objects (tree, LCA, arena, version counter) that are rebuilt
-      as units — saving the references suffices.
+    * per-vertex arrays (label and via views, bag views, ancestor arrays)
+      that are always *replaced* wholesale — shallow list copies of
+      :data:`~repro.labeling.hierarchy.REPLACED_ATTRS` suffice;
+    * derived objects (tree, LCA, the packed label store, arena, version
+      counter) that are rebuilt as units — saving the references of
+      :data:`~repro.labeling.hierarchy.REFERENCE_ATTRS` suffices.
+
+    :meth:`HierarchyIndex.clone` copies by the same contract.
 
     Cost is one O(index-size) copy per snapshot — far below a label DP or a
     re-elimination, which is what makes per-update transactionality cheap
@@ -178,8 +162,8 @@ class IndexSnapshot:
         self._phi = elim.phi_at_elim.copy()
         self._bags = [dict(b) for b in elim.bags]
         self._middles = [dict(m) for m in elim.middles]
-        self._replaced = {name: list(getattr(index, name)) for name in _REPLACED_ATTRS}
-        self._references = {name: getattr(index, name) for name in _REFERENCE_ATTRS}
+        self._replaced = {name: list(getattr(index, name)) for name in REPLACED_ATTRS}
+        self._references = {name: getattr(index, name) for name in REFERENCE_ATTRS}
         flows = getattr(index, "flows", None)
         self._flows = flows.copy() if flows is not None else None
 

@@ -1,17 +1,14 @@
 """Contiguous label storage for vectorised many-pair distance queries.
 
-:class:`~repro.labeling.hierarchy.HierarchyIndex` keeps its labels as a
-Python list of small per-vertex numpy arrays — the right shape for
-incremental maintenance (ILU/ISU rewrite individual vertices in place) but
-wrong for throughput: every scalar query pays several Python-level
-indirections, and the label slices are scattered across the heap.  Flat
-label storage is what gives practical labeling systems their query speed
-(hierarchical cut labelling and PSL both pack labels contiguously), so
-:class:`LabelArena` snapshots the index's labels and position arrays into
-one flat array each, with ``int64`` offset tables; the ancestor paths are
-shared with the index, which already stores them flat.  The labels are
-packed once, as ``int64`` when every entry is a small non-negative integer
-(always so on integer-weight road networks) and as ``float64`` otherwise.
+Flat label storage is what gives practical labeling systems their query
+speed (hierarchical cut labelling and PSL both pack labels contiguously).
+:class:`~repro.labeling.hierarchy.HierarchyIndex` keeps its labels that
+way: one packed store, int32 while every entry is a small non-negative
+integer (always so on integer-weight road networks) and float64
+otherwise, whose slices are the per-vertex label views that maintenance
+and the scalar query read.  :class:`LabelArena` reads that store and the
+index's flat ancestor paths in place, and packs only the position arrays
+of its own, with ``int64`` offset tables.
 :meth:`pair_distances` then answers thousands of (source, target, hub)
 triples with a handful of numpy gathers and one reduction — no Python loop
 on the hot path.
@@ -55,37 +52,10 @@ if TYPE_CHECKING:  # avoid a cycle: hierarchy imports this module
 
 __all__ = ["LabelArena"]
 
-#: the dense padded position matrix is ``n * max_width`` int64 entries; past
-#: this element budget (256 MB) the arena keeps only the ragged layout and
+#: the dense padded position matrix is ``n * max_width`` entries; past
+#: this element budget the arena keeps only the ragged layout and
 #: :meth:`LabelArena.pair_distances` uses the segmented-reduction kernel.
 _DENSE_POS_LIMIT = 32_000_000
-
-#: labels are packed as int64 only when every entry is below this bound, so
-#: any sum of two entries stays below 2**41: exact in int64 and in float64.
-_QUANT_INF = np.int64(2) ** 40
-
-
-def _pack(arrays: list[np.ndarray], dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten a ragged array list into ``(offsets[n + 1], values)``."""
-    n = len(arrays)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    if not n:
-        return offsets, np.empty(0, dtype=dtype)
-    lengths = np.fromiter((len(a) for a in arrays), dtype=np.int64, count=n)
-    np.cumsum(lengths, out=offsets[1:])
-    return offsets, np.concatenate(arrays).astype(dtype, copy=False)
-
-
-def _integral(values: np.ndarray) -> bool:
-    """Whether every value is a non-negative integer below :data:`_QUANT_INF`.
-
-    Such labels pack as int64 with no query rounding: a sum of two entries
-    is below ``2**41``, far inside both int64 and the ``2**53`` window where
-    float64 represents integers exactly.
-    """
-    if values.size == 0 or not np.all(np.floor(values) == values):
-        return False
-    return float(values.min()) >= 0.0 and float(values.max()) < float(_QUANT_INF)
 
 
 class SweepPlan:
@@ -95,7 +65,8 @@ class SweepPlan:
     is the contiguous slice ``levels[d - 1][0:2]`` of the sweep's distance
     buffer.  Each level stores its vertices' bags back to back, ragged,
     with no padding: ``bag`` holds the slots of each vertex's bag
-    ancestors ``y`` and ``lab`` its int64 label entries at their depths,
+    ancestors ``y`` and ``lab`` its label entries at their depths, widened
+    to int64 like the sweep buffer,
     ``L_x[depth(y)]``, and ``seg[i]`` is where the level's ``i``-th vertex
     begins in both.  One segmented minimum per level
     (``np.minimum.reduceat`` over ``seg``) then reads exactly the sum of
@@ -129,9 +100,9 @@ class SweepPlan:
         at = arena.pos_values[cell + np.repeat(first - edge[:-1], size)]
         # a label and an ancestor path both hold depth + 1 entries, so one
         # offset reaches the entry and the ancestor at a bag member's depth
-        at += np.repeat(arena.label_offsets[order], size)
+        at = at + np.repeat(arena.label_offsets[order], size)
         bag = self.rank[arena.anc_values[at]]
-        lab = arena.label_values[at]
+        lab = arena.label_values[at].astype(np.int64)
         bounds = np.searchsorted(depth[order], np.arange(int(depth.max()) + 2))
         self.levels: list[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]] = []
         for lo, hi in zip(bounds[1:-1].tolist(), bounds[2:].tolist()):
@@ -153,22 +124,23 @@ class SweepPlan:
 
 
 class LabelArena:
-    """Flat-packed labels and positions of one :class:`HierarchyIndex`.
+    """Flat labels and positions of one :class:`HierarchyIndex`.
 
     Attributes
     ----------
     version:
-        The index's label version when the arena was packed; compared by
+        The index's label version when the arena was built; compared by
         :meth:`HierarchyIndex.arena` to decide whether a rebuild is due.
     label_offsets, label_values:
         ``label_values[label_offsets[v]:label_offsets[v + 1]]`` is the
-        distance label of ``v``: the arena's one copy of the labels.  It is
-        int64 when every entry is a non-negative integer below
-        :data:`_QUANT_INF` (see :attr:`quantized`), float64 otherwise.
-        Sums and minima of such integers are exact in either dtype, so
-        every kernel returns the same float64 bits on both.
+        distance label of ``v`` — the index's own packed store, *shared*,
+        not copied.  It is int32 when every entry is a non-negative
+        integer and twice the largest fits in int32 (see
+        :attr:`quantized`), float64 otherwise.  Sums of two such integers
+        are exact in int32, and minima are exact in either dtype, so every
+        kernel returns the same float64 bits on both.
     pos_offsets, pos_values:
-        Def.-8 position arrays (int64), same layout.
+        Def.-8 position arrays (int32 depths), same layout.
     pos_pad:
         Dense ``(n, max_width)`` position matrix, each row the hub's
         position array padded by repeating its last entry (a duplicate
@@ -194,13 +166,13 @@ class LabelArena:
     )
 
     def __init__(self, index: "HierarchyIndex") -> None:
-        self.num_vertices = index.graph.num_vertices
+        n = self.num_vertices = index.graph.num_vertices
         self.version = index.label_version
-        self.label_offsets, values = _pack(index.labels, np.float64)
-        self.label_values = (
-            values.astype(np.int64) if _integral(values) else values
-        )
-        self.pos_offsets, self.pos_values = _pack(index.positions, np.int64)
+        self.label_offsets = index.label_offsets
+        self.label_values = index.label_values
+        self.pos_offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum([len(p) for p in index.positions], out=self.pos_offsets[1:])
+        self.pos_values = np.concatenate(index.positions, dtype=np.int32)
         self.pos_pad = self._pad_positions()
         self.anc_offsets = index.anc_offsets
         self.anc_values = index.anc_flat
@@ -221,13 +193,11 @@ class LabelArena:
     def nbytes(self) -> int:
         """Bytes owned by the arena, its :class:`SweepPlan` once built.
 
-        The shared ancestor arrays are excluded — they belong to (and are
-        counted by) the index itself.
+        The shared label store and ancestor arrays are excluded — they
+        belong to (and are counted by) the index itself.
         """
         return (
-            self.label_offsets.nbytes
-            + self.label_values.nbytes
-            + self.pos_offsets.nbytes
+            self.pos_offsets.nbytes
             + self.pos_values.nbytes
             + (self.pos_pad.nbytes if self.pos_pad is not None else 0)
             + (self._plan.nbytes if self._plan is not None else 0)
@@ -235,14 +205,15 @@ class LabelArena:
 
     @property
     def quantized(self) -> bool:
-        """Whether the labels are packed as int64.
+        """Whether the label store is int32.
 
-        True when every label value is a non-negative integer below
-        :data:`_QUANT_INF` — always the case for integer-weight road
-        networks, where label entries are sums of edge weights.  It selects
-        the one-to-all sweep of :meth:`distances_to_many`.
+        True when every label value is a non-negative integer and twice
+        the largest fits in int32 — always the case for integer-weight
+        road networks of realistic size, where label entries are sums of
+        edge weights.  It selects the one-to-all sweep of
+        :meth:`distances_to_many`.
         """
-        return self.label_values.dtype == np.int64
+        return self.label_values.dtype == np.int32
 
     def sweep_plan(self, index: "HierarchyIndex") -> SweepPlan:
         """The :class:`SweepPlan` of :meth:`distances_to_many`, built once.
@@ -290,8 +261,8 @@ class LabelArena:
         sorted deepest first, so the ones still deep enough are a prefix
         of the columns and the restore is one assignment.  A level whose
         one vertex is an ancestor of every target is not reduced at all.
-        Every value is an integer below ``2**42``, so each sum and minimum
-        is exact.
+        Every value is an integer below ``2**32`` in an int64 buffer, so
+        each sum and minimum is exact.
         """
         plan = self.sweep_plan(index)
         n, k = self.num_vertices, len(targets)
@@ -319,7 +290,7 @@ class LabelArena:
             # target's own depth; alive[d] targets are at least d deep
             levels = np.arange(deepest + 1)
             pick = np.minimum(levels[:, None], depth)
-            lt = self.label_values[starts[order] + pick]
+            lt = self.label_values[starts[order] + pick].astype(np.int64)
             slots = plan.rank[self.anc_values[self.anc_offsets[targets[order]] + pick]]
             slots = slots * k + np.arange(k)
             alive = np.searchsorted(-depth, -levels, side="right").tolist()
@@ -359,8 +330,8 @@ class LabelArena:
         pair's candidate sums ``label[u][p] + label[v][p]`` over the hub's
         position array are folded with an exact minimum and returned as
         float64.  Both kernels below run on whichever dtype
-        :attr:`label_values` has: on int64 labels every sum is an integer
-        below ``2**41`` and the cast back to float64 is lossless, and a
+        :attr:`label_values` has: on int32 labels every sum of two entries
+        fits int32 and the cast back to float64 is lossless, and a
         float64 minimum is order-independent over finite values, so either
         way the result agrees bit for bit with the scalar query.
 
@@ -375,9 +346,8 @@ class LabelArena:
         """
         values = self.label_values
         if self.pos_pad is not None:
-            idx = self.pos_pad.take(hubs, axis=0)
             off_u = self.label_offsets.take(sources)
-            idx += off_u[:, None]
+            idx = self.pos_pad.take(hubs, axis=0) + off_u[:, None]
             lu = values.take(idx)
             idx += (self.label_offsets.take(targets) - off_u)[:, None]
             lu += values.take(idx)

@@ -19,6 +19,18 @@ labeling viable at reproduction scale.  The same DFS, restricted to dirty
 subtrees with change-propagation pruning, implements the label refresh that
 ILU/ISU need; its return value (number of labels actually rewritten) is the
 "affected labels" metric of the paper's Fig. 9.
+
+Every label write ends in one packed store: ``label_values`` (one entry
+per tree ancestor of each vertex, back to back by vertex id, offsets in
+``label_offsets``) and ``via_values`` (the same layout, one entry shorter
+per vertex).  ``labels[v]`` and ``vias[v]`` are views into it, and the
+packed :class:`~repro.labeling.arena.LabelArena` reads the same arrays.
+The store is int32 when every entry is a non-negative integer and twice
+the largest fits in int32 (always so on integer-weight road networks), so
+a sum of two entries is exact in int32; float64 otherwise.  Maintenance
+never writes into a store: it packs a new one at the end of each label
+refresh, so an :class:`~repro.core.maintenance.IndexSnapshot` or a
+:meth:`HierarchyIndex.clone` may share the old one.
 """
 
 from __future__ import annotations
@@ -40,6 +52,47 @@ from repro.treedec.tree import TreeDecomposition
 
 __all__ = ["HierarchyIndex", "build_hierarchy_index"]
 
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
+#: per-vertex lists that maintenance *replaces* element-wise (never
+#: mutating an element in place): a shallow list copy preserves them
+REPLACED_ATTRS = (
+    "labels",
+    "vias",
+    "bag_keys",
+    "bag_weights",
+    "bag_pos",
+    "positions",
+    "anc",
+)
+#: objects that maintenance rebinds as units (never mutating them in
+#: place): sharing the reference preserves them
+REFERENCE_ATTRS = (
+    "tree",
+    "lca",
+    "anc_offsets",
+    "anc_flat",
+    "label_offsets",
+    "label_values",
+    "via_values",
+    "_depth",
+    "_inv_bags",
+    "_arena",
+    "_version",
+)
+
+
+def _narrow(values: np.ndarray) -> np.ndarray:
+    """``values`` as int32 when that is exact and sums of two stay in range.
+
+    That is when every entry is a non-negative integer and twice the
+    largest fits in int32; otherwise ``values`` unchanged.
+    """
+    if not (float(values.min()) >= 0.0 and 2.0 * float(values.max()) <= _INT32_MAX):
+        return values
+    ints = values.astype(np.int32)
+    return ints if np.array_equal(ints, values) else values
+
 
 class HierarchyIndex:
     """Tree-decomposition 2-hop labeling with exact distance/path queries.
@@ -51,9 +104,6 @@ class HierarchyIndex:
     def __init__(self, graph: RoadNetwork, elimination: EliminationResult) -> None:
         self.graph = graph
         self.elim = elimination
-        n = graph.num_vertices
-        self.labels: list[np.ndarray] = [np.empty(0)] * n
-        self.vias: list[np.ndarray] = [np.empty(0, dtype=np.int32)] * n
         with obs.stopwatch(
             metric="repro_build_phase_seconds",
             span="build.structure",
@@ -84,11 +134,17 @@ class HierarchyIndex:
         # ancestor arrays (root-to-v paths) packed into one preallocated
         # flat array + offsets (shared with the arena); the preorder DFS
         # keeps the current root path in a reusable buffer, so each vertex
-        # costs two slice copies instead of one tiny allocation.
+        # costs two slice copies instead of one tiny allocation.  A label
+        # holds one entry per ancestor, so these offsets are the label
+        # store's too.  Ancestor ids and bag keys are int32; the position
+        # arrays stay int64, since the scalar query fancy-indexes labels
+        # with them and numpy converts any other index dtype per call.
+        if n - 1 > _INT32_MAX:
+            raise IndexStateError(f"{n} vertices: ids do not fit int32")
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(depth + 1, out=offsets[1:])
-        flat = np.empty(int(offsets[n]), dtype=np.int64)
-        path_buf = np.empty(int(depth.max()) + 1, dtype=np.int64)
+        flat = np.empty(int(offsets[n]), dtype=np.int32)
+        path_buf = np.empty(int(depth.max()) + 1, dtype=np.int32)
         stack = [self.tree.root]
         while stack:
             v = stack.pop()
@@ -102,7 +158,7 @@ class HierarchyIndex:
             flat[offsets[v]:offsets[v + 1]] for v in range(n)
         ]
 
-        self.bag_keys: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * n
+        self.bag_keys: list[np.ndarray] = [np.empty(0, dtype=np.int32)] * n
         self.bag_weights: list[np.ndarray] = [np.empty(0)] * n
         self.bag_pos: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * n
         self.positions: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * n
@@ -132,7 +188,7 @@ class HierarchyIndex:
     def sync_bag(self, v: int) -> None:
         """Refresh the vectorised views of ``v``'s bag after a mutation."""
         bag = self.elim.bags[v]
-        keys = np.fromiter(bag.keys(), dtype=np.int64, count=len(bag))
+        keys = np.fromiter(bag.keys(), dtype=np.int32, count=len(bag))
         self.bag_keys[v] = keys
         self.bag_weights[v] = np.fromiter(bag.values(), dtype=np.float64, count=len(bag))
         depth = self.tree.depth
@@ -170,6 +226,13 @@ class HierarchyIndex:
         -------
         int
             Number of labels rewritten (the paper's "affected labels").
+
+        Either way the labels end in a new packed store
+        (:meth:`_set_store`).  A full refresh writes each row straight
+        into one preallocated float64 block, the label lengths being known
+        from the tree, and narrows the block in one ``astype``; a partial
+        one computes the rewritten rows apart and packs all rows at the
+        end.
         """
         tree = self.tree
         depth = tree.depth
@@ -188,6 +251,10 @@ class HierarchyIndex:
                 while v >= 0 and not need_below[v]:
                     need_below[v] = 1
                     v = int(parent[v])
+        else:
+            offsets = self.anc_offsets
+            block = np.empty(int(offsets[n]), dtype=np.float64)
+            via_block = np.empty(int(offsets[n]) - n, dtype=np.int32)
 
         h = tree.treeheight
         matrix = np.empty((h + 1, h + 1), dtype=np.float64)
@@ -204,7 +271,19 @@ class HierarchyIndex:
             d = int(depth[v])
             recompute = anc_changed or v in seeds
             changed = False
-            if recompute:
+            if full:
+                # row v of the block; its via row starts v entries earlier
+                # (each via row is one shorter than its label row)
+                start = int(offsets[v])
+                label = block[start:start + d + 1]
+                if d:
+                    rows = matrix[self.bag_pos[v], :d] + self.bag_weights[v][:, None]
+                    rows.min(axis=0, out=label[:d])
+                    via_block[start - v:start - v + d] = rows.argmin(axis=0)
+                label[d] = 0.0
+                changed = True
+                changed_count += 1
+            elif recompute:
                 if d == 0:
                     label = np.zeros(1)
                     via = np.empty(0, dtype=np.int32)
@@ -220,7 +299,9 @@ class HierarchyIndex:
                     changed_count += 1
                 self.labels[v] = label
                 self.vias[v] = via
-            row = self.labels[v][:d]
+            else:
+                label = self.labels[v]
+            row = label[:d]
             matrix[d, :d] = row
             matrix[:d, d] = row
             matrix[d, d] = 0.0
@@ -229,8 +310,35 @@ class HierarchyIndex:
                 child_flag = propagate or child in force_subtree_roots
                 if full or child_flag or need_below[child]:
                     stack.append((child, child_flag))
+        if full:
+            self._set_store(block, via_block)
+        else:
+            values = np.concatenate(self.labels)
+            if len(values) != int(self.anc_offsets[n]):
+                raise IndexStateError("label lengths disagree with the tree depths")
+            self._set_store(values, np.concatenate(self.vias))
         self._version += 1
         return changed_count
+
+    def _set_store(self, values: np.ndarray, via_values: np.ndarray) -> None:
+        """Adopt packed ``values``/``via_values`` as the one label store.
+
+        Both are laid out by vertex id on the ancestor offsets (a label
+        has ``depth + 1`` entries, its via array ``depth``).  ``values``
+        is narrowed to int32 when that is exact (:func:`_narrow`), and
+        ``labels[v]`` and ``vias[v]`` become views into the store.
+        Callers pass arrays no one else writes.
+        """
+        offsets = self.anc_offsets
+        bounds = offsets.tolist()
+        self.label_offsets = offsets
+        self.label_values = values = _narrow(values)
+        self.via_values = via_values
+        self.labels = [values[a:b] for a, b in zip(bounds, bounds[1:])]
+        self.vias = [
+            via_values[a - v:b - v - 1]
+            for v, (a, b) in enumerate(zip(bounds, bounds[1:]))
+        ]
 
     # ------------------------------------------------------------------
     # packed arena
@@ -283,7 +391,7 @@ class HierarchyIndex:
 
         Computes every pair with one batched LCA lookup plus the arena's
         gather/segmented-min kernel — the scalar query's sums and minimum,
-        exact whether the arena packs the labels as int64 or float64, so
+        exact whether the label store is int32 or float64, so
         results agree bit for bit with a :meth:`distance` loop.  Pairs with ``source == target``
         come out as exactly ``0.0`` through the label's own zero entry.
         """
@@ -453,24 +561,38 @@ class HierarchyIndex:
     # cloning (consolidation back buffer)
     # ------------------------------------------------------------------
     def clone(self) -> "HierarchyIndex":
-        """An independent deep copy of the index that *shares* the graph.
+        """An independent copy of the index that *shares* the graph.
 
-        The graph is injected into the deepcopy memo instead of being
-        copied; a caller that wants the clone on other weights assigns it
-        a graph of its own (the consolidation pass repairs its back buffer
-        on a private copy while the original keeps serving).  Everything
-        else — elimination, tree, LCA, labels, bag views — is fully
-        independent: mutating the clone's labels can never corrupt the
-        serving index.  The packed arena is excluded (the clone rebuilds
-        it lazily on first vectorised query).
+        Copies by the maintenance mutation contract, the attribute lists
+        :class:`~repro.core.maintenance.IndexSnapshot` reads: the
+        elimination's order, rank, φ array and bag and middle dicts
+        (mutated in place by ILU and ISU) and the flow vector are copied,
+        the :data:`REPLACED_ATTRS` lists are copied shallowly, and the
+        :data:`REFERENCE_ATTRS` objects (the packed label store among
+        them) are shared, as is the graph.  The tree is a shallow copy
+        pointing at the copied elimination, and no arena is carried over.
+        Maintenance on the clone (given a graph of its own when its
+        weights are to change, as the consolidation pass does) can never
+        corrupt the original, and the clone holds no second label store
+        until its own maintenance packs one.
         """
-        memo: dict[int, object] = {id(self.graph): self.graph}
-        arena = self._arena
-        self._arena = None
-        try:
-            twin = copy.deepcopy(self, memo)
-        finally:
-            self._arena = arena
+        twin = copy.copy(self)
+        elim = self.elim
+        twin.elim = EliminationResult(
+            order=list(elim.order),
+            rank=elim.rank.copy(),
+            bags=[dict(bag) for bag in elim.bags],
+            middles=[dict(mid) for mid in elim.middles],
+            phi_at_elim=elim.phi_at_elim.copy(),
+        )
+        for name in REPLACED_ATTRS:
+            setattr(twin, name, list(getattr(self, name)))
+        twin.tree = copy.copy(self.tree)
+        twin.tree._elimination = twin.elim
+        twin._arena = None
+        flows = getattr(self, "flows", None)
+        if flows is not None:
+            twin.flows = flows.copy()
         return twin
 
     # ------------------------------------------------------------------
@@ -509,16 +631,18 @@ class HierarchyIndex:
         )
 
     def index_size_bytes(self) -> int:
-        """Approximate in-memory footprint of the resident query structures.
+        """In-memory footprint of the resident query structures.
 
-        Counts the label/via/position arrays, the vectorised bag views
-        (``bag_keys``/``bag_weights``/``bag_pos``, which stay resident for
-        maintenance and path unpacking), the flat ancestor storage, and the
-        packed arena when one is currently built.
+        Counts the packed label store once (labels and vias; the
+        per-vertex ``labels``/``vias`` views add nothing), the position
+        arrays, the vectorised bag views (``bag_keys``/``bag_weights``/
+        ``bag_pos``, which stay resident for maintenance and path
+        unpacking), the flat ancestor storage (its offsets are the label
+        store's), and the packed arena's own arrays when one is currently
+        built.
         """
-        total = sum(lbl.nbytes for lbl in self.labels)
+        total = self.label_values.nbytes + self.via_values.nbytes
         total += sum(p.nbytes for p in self.positions)
-        total += sum(v.nbytes for v in self.vias)
         total += sum(k.nbytes for k in self.bag_keys)
         total += sum(w.nbytes for w in self.bag_weights)
         total += sum(p.nbytes for p in self.bag_pos)

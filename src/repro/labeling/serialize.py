@@ -14,7 +14,7 @@ Format (npz keys)
 ``order``             int64[n] elimination order
 ``phi``               float64[n]
 ``bag_offsets/keys/weights/middles``  flattened bags (-1 middle = original)
-``label_offsets/values``              flattened distance labels
+``label_offsets/values``              flattened distance labels (float64)
 ``via_values``                         flattened via indices
 ``flows`` / ``anchors``                FAHL only
 ``checksum``                           uint8[16] blake2b over all other arrays
@@ -98,15 +98,6 @@ def save_index(index: HierarchyIndex, path: str | Path) -> None:
             middle = mid.get(x)
             bag_middles.append(-1 if middle is None else middle)
 
-    label_offsets = np.zeros(n + 1, dtype=np.int64)
-    for v in range(n):
-        label_offsets[v + 1] = label_offsets[v] + len(index.labels[v])
-    label_values = np.concatenate(
-        [index.labels[v] for v in range(n)]
-    ) if n else np.empty(0)
-    via_values = np.concatenate(
-        [index.vias[v].astype(np.int32) for v in range(n)]
-    ) if n else np.empty(0, dtype=np.int32)
 
     kind = _KIND_FAHL if isinstance(index, FAHLIndex) else _KIND_H2H
     beta = index.beta if isinstance(index, FAHLIndex) else 0.0
@@ -120,9 +111,10 @@ def save_index(index: HierarchyIndex, path: str | Path) -> None:
         "bag_keys": np.asarray(bag_keys, dtype=np.int64),
         "bag_weights": np.asarray(bag_weights, dtype=np.float64),
         "bag_middles": np.asarray(bag_middles, dtype=np.int64),
-        "label_offsets": label_offsets,
-        "label_values": label_values,
-        "via_values": via_values,
+        # the label store as is, but always float64 on disk
+        "label_offsets": index.label_offsets,
+        "label_values": index.label_values.astype(np.float64),
+        "via_values": index.via_values,
     }
     if graph.coordinates:
         ids = sorted(graph.coordinates)
@@ -180,7 +172,8 @@ def load_index(path: str | Path) -> HierarchyIndex:
 
     Rebuilds the derived structures (tree, LCA, position arrays) from the
     stored elimination and restores the label arrays verbatim — no label DP
-    is re-run.  Returns an :class:`H2HIndex` or :class:`FAHLIndex` matching
+    is re-run — as one packed store, narrowed to int32 exactly when a
+    build would narrow it.  Returns an :class:`H2HIndex` or :class:`FAHLIndex` matching
     what was saved.
     """
     from repro.core.fahl import FAHLIndex
@@ -249,21 +242,15 @@ def _restore_index(data, path, fahl_cls) -> HierarchyIndex:
     # bypass __init__ (which would rebuild): restore state directly
     index.graph = graph
     index.elim = elimination
-    index.labels = [np.empty(0)] * n
-    index.vias = [np.empty(0, dtype=np.int32)] * n
     index.rebuild_structure()
-
-    label_offsets = data["label_offsets"]
-    label_values = data["label_values"]
-    via_values = data["via_values"]
-    via_offset = 0
-    for v in range(n):
-        lo, hi = int(label_offsets[v]), int(label_offsets[v + 1])
-        index.labels[v] = np.asarray(label_values[lo:hi], dtype=np.float64)
-        # the via array is one shorter than the label (no self entry)
-        length = hi - lo - 1
-        index.vias[v] = np.asarray(
-            via_values[via_offset: via_offset + length], dtype=np.int32
+    # the store's layout is the rebuilt tree's: one label entry per
+    # ancestor, one via entry fewer per vertex
+    if not np.array_equal(data["label_offsets"], index.anc_offsets):
+        raise IndexIntegrityError(
+            path, "label lengths disagree with the tree depths", version=version
         )
-        via_offset += length
+    index._set_store(
+        np.asarray(data["label_values"], dtype=np.float64),
+        np.asarray(data["via_values"], dtype=np.int32),
+    )
     return index

@@ -224,34 +224,55 @@ class TestIndexSizeBytes:
 
 
     def test_one_label_copy(self, small_grid):
-        """The arena packs each label entry once, as int64 while integral."""
+        """One int32 label store: the views and the arena all read it."""
         index = build_h2h(small_grid)
 
-        def layout(arena):
+        def own(arena):
             return (
-                arena.label_offsets.nbytes
-                + arena.label_values.nbytes
-                + arena.pos_offsets.nbytes
+                arena.pos_offsets.nbytes
                 + arena.pos_values.nbytes
                 + arena.pos_pad.nbytes
             )
 
+        def store(index):
+            return index.label_values.nbytes + index.via_values.nbytes
+
+        assert index.label_values.dtype == np.int32
+        assert len(index.label_values) == sum(len(lbl) for lbl in index.labels)
+        assert all(np.shares_memory(lbl, index.label_values) for lbl in index.labels)
+        assert all(
+            np.shares_memory(via, index.via_values) for via in index.vias if len(via)
+        )
+        assert index.anc_flat.dtype == np.int32
+        assert all(k.dtype == np.int32 for k in index.bag_keys)
+        resident = index.index_size_bytes()
+        assert resident < store(index) + sum(lbl.nbytes for lbl in index.labels) + (
+            sum(p.nbytes for p in index.positions)
+            + sum(k.nbytes for k in index.bag_keys)
+            + sum(w.nbytes for w in index.bag_weights)
+            + sum(p.nbytes for p in index.bag_pos)
+            + index.anc_flat.nbytes
+            + index.anc_offsets.nbytes
+        )  # the views count nothing
         arena = index.arena()
-        assert len(arena.label_values) == sum(len(lbl) for lbl in index.labels)
+        assert arena.label_values is index.label_values
+        assert arena.label_offsets is index.label_offsets
         assert arena.quantized
-        assert arena.label_values.dtype == np.int64
-        assert arena.nbytes == layout(arena)
+        assert arena.pos_values.dtype == arena.pos_pad.dtype == np.int32
+        assert arena.nbytes == own(arena)
+        assert index.index_size_bytes() == resident + own(arena)
         index.distances_to(0)
-        assert arena.nbytes == layout(arena) + arena._plan.nbytes
+        assert arena.nbytes == own(arena) + arena._plan.nbytes
         # a lowered non-integral weight is the edge's own shortest path, so
-        # some label entry turns fractional and the labels repack as float64
+        # some label entry turns fractional and the store repacks as float64
         u, v, w = next(iter(small_grid.edges()))
         apply_weight_update(index, u, v, w - 0.5)
+        assert index.label_values.dtype == np.float64
         fresh = index.arena()
         assert fresh is not arena
         assert not fresh.quantized
-        assert fresh.label_values.dtype == np.float64
-        assert fresh.nbytes == layout(fresh)
+        assert fresh.label_values is index.label_values
+        assert fresh.nbytes == own(fresh)
 
 
 class TestSweep:

@@ -223,13 +223,15 @@ class TestMultiTargetSweep:
                                  max_candidates=8)
         loop = [engine.query(q) for q in queries]
         engine.invalidate()
+        kern = engine._flat_kernel()
+        before = kern.stats["heuristic_builds"]
         start = len(sweep_log())
         results = batch_query(engine, queries)
         assert results == loop  # frozen dataclasses: exact equality
         built = sweep_log()[start:]
         assert built == ["32", "8"]  # ceil(40 / 32) sweeps, no single tables
-        kern = engine._flat_kernel()
-        assert kern.stats["heuristic_builds"] == 40
+        assert engine._flat_kernel() is kern  # invalidate() kept the rows
+        assert kern.stats["heuristic_builds"] - before == 40
         assert not kern._pending
 
     def test_pool_batch_sweeps_every_table(self, medium_frn, rng, sweep_log):

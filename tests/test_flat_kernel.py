@@ -144,12 +144,20 @@ class TestParity:
 # invalidation: maintenance, explicit invalidate(), oracle swap
 # ----------------------------------------------------------------------
 class TestInvalidation:
-    def test_invalidate_drops_cached_kernel(self, grid_frn, grid_index):
+    def test_invalidate_drops_tables_keeps_rows(self, grid_frn, grid_index):
         engine = FlowAwareEngine(grid_frn, oracle=grid_index)
         engine.query(FSPQuery(0, 15, 0))
-        assert engine._flat_kernel_cache is not None
+        kern = engine._flat_kernel_cache
+        assert kern is not None and kern._h_cache
+        adj = kern.adj
         engine.invalidate()
-        assert engine._flat_kernel_cache is None
+        assert engine._flat_kernel_cache is kern
+        assert not kern._h_cache and not kern._pending
+        assert kern.adj is adj
+        before = dict(kern.stats)
+        engine.query(FSPQuery(0, 15, 0))
+        assert engine._flat_kernel_cache is kern
+        assert kern.stats["heuristic_builds"] > before["heuristic_builds"]
 
     def test_weight_update_resets_kernel_state(self, grid_frn, grid_index):
         engine = FlowAwareEngine(grid_frn, oracle=grid_index)
@@ -198,16 +206,30 @@ class TestInvalidation:
         assert index.label_version == version_before  # the trap: no bump
         assert answers(flat, queries) == answers(scalar, queries)
 
-    def test_oracle_swap_rebuilds_kernel(self, grid_frn, grid_index):
+    def test_oracle_swap_rebinds_kernel(self, grid_frn, grid_index):
+        engine = FlowAwareEngine(grid_frn, oracle=grid_index)
+        engine.query(FSPQuery(0, 15, 0))
+        kern = engine._flat_kernel_cache
+        adj = kern.adj
+        engine.oracle = build_fahl(grid_frn)
+        engine.query(FSPQuery(0, 15, 0))
+        # same graph, so the rows stay; the tables are the new oracle's
+        assert engine._flat_kernel_cache is kern
+        assert kern.adj is adj
+        assert kern.index is engine.oracle
+        assert kern.version == engine.oracle.label_version
+        assert set(kern._h_cache) == {15}
+
+    def test_graph_change_rebuilds_kernel(self, grid_frn, grid_index):
         engine = FlowAwareEngine(grid_frn, oracle=grid_index)
         engine.query(FSPQuery(0, 15, 0))
         first = engine._flat_kernel_cache
-        engine.oracle = build_fahl(grid_frn)
-        engine.invalidate()
+        u, v, w = next(iter(grid_frn.graph.edges()))
+        apply_weight_update(grid_index, u, v, float(w) * 3)
         engine.query(FSPQuery(0, 15, 0))
         second = engine._flat_kernel_cache
         assert second is not first
-        assert second.index is engine.oracle
+        assert second.graph_version == grid_frn.graph.mutation_version
 
 
 # ----------------------------------------------------------------------
@@ -217,7 +239,7 @@ class TestQuantisedArena:
     def test_integer_weights_quantise(self, grid_index):
         arena = grid_index.arena()
         assert arena.quantized
-        assert arena.label_values.dtype == np.int64
+        assert arena.label_values.dtype == np.int32
 
     def test_quantised_distances_exact(self, grid_frn, grid_index):
         n = grid_frn.num_vertices
